@@ -572,6 +572,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "platform": sys.platform,
         "rng_algorithm": RNG_ALGORITHM,
+        "law_algorithm": oracle.LAW_ALGORITHM,
     }
 
 

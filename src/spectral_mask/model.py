@@ -21,10 +21,11 @@ import numpy as np
 from .errors import ParameterDomainError
 
 #: Absolute tolerance under which two evaluated mask values count as the same
-#: outcome.  Far above the summation error budget (1e-12 * N) and far below
-#: the spacing of distinct roots-of-unity sums at enumerable sizes.  Exact and
-#: Monte Carlo tail thresholds absorb the same slack so both sides make the
-#: same call on boundary atoms.
+#: outcome.  Far above the summation error budget (1e-12 * N).  Distinct
+#: roots-of-unity sums can lie closer than any fixed spacing, so the oracle
+#: measures the smallest gap of each law and refuses one inside its grouping
+#: margin.  Exact and Monte Carlo tail thresholds absorb the same slack so
+#: both sides make the same call on boundary atoms.
 VALUE_GROUPING_TOL = 1e-9
 
 

@@ -1,10 +1,18 @@
-"""Exhaustive 2^N oracle: exact law, moments, tails, and psi2 norms.
+"""Exact oracle over all 2^N masks: law, moments, tails, and psi2 norms.
 
 Every closed-form identity and bound in :mod:`spectral_mask.bounds` is tested
-against this module.  Enumeration sweeps all 2^N masks with a vectorized
-doubling construction (O(2^N) atom operations), groups outcome values that
-agree within ``VALUE_GROUPING_TOL``, and weights each popcount layer with the
-exact big-integer rational m^k (N-m)^(N-k) / N^N rounded once to float64.
+against this module.  The law of a part is built by convolution, one atom at
+a time: each step splits every outcome into atom-off and atom-on, merges
+values that agree within ``VALUE_GROUPING_TOL`` and keeps an exact integer
+count of masks per (outcome, popcount).  Probabilities weight those counts
+with the exact big-integer rational m^k (N-m)^(N-k) / N^N rounded once to
+float64.
+
+The law does not depend on m, and the atom multiset at frequency l equals
+the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
+Laws live in one cache bounded in bytes (``LAW_CACHE_BYTES``).  Building a
+law measures the smallest gap between distinct outcomes and refuses a law
+whose gap falls inside ``GROUPING_MARGIN`` times the grouping tolerance.
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,13 +38,19 @@ from .model import (
 
 #: Largest N enumerated unless the caller raises the guard explicitly.
 DEFAULT_ENUM_GUARD = 24
-#: Absolute ceiling on the guard override (2^26 evaluations).
+#: Absolute ceiling on the guard override (2^26 masks).
 HARD_ENUM_CAP = 26
+#: Tag of the exact-law construction; exact artifact cells depend on it.
+LAW_ALGORITHM = "atom-convolution-v1"
+#: Distinct outcomes must lie this many grouping tolerances apart.
+GROUPING_MARGIN = 1e3
+#: Byte bound on the cache of laws shared across m and frequency classes.
+LAW_CACHE_BYTES = 64 << 20
+
+# Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(26, 13) < 2^31.
+assert math.comb(HARD_ENUM_CAP, HARD_ENUM_CAP // 2) < 2**31
 
 _LN2 = math.log(2.0)
-# (N, l, part) group structures are cached up to this N; larger sweeps are
-# recomputed per call to keep resident memory bounded.
-_CACHE_MAX_N = 16
 
 
 class Psi2Definition(enum.Enum):
@@ -136,89 +151,194 @@ def weight_table(N: int, m: int) -> np.ndarray:
     )
 
 
-def _doubling_values(components: np.ndarray) -> np.ndarray:
-    """Sums over all subsets of ``components``; index bit k toggles component k."""
-    vals = np.zeros(1, dtype=components.dtype)
-    for c in components:
-        vals = np.concatenate([vals, vals + c])
-    return vals
+def _group_ids(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Group index of each input, given the sort ``order`` and run ``sizes``."""
+    gid = np.empty(order.size, dtype=np.intp)
+    gid[order] = np.repeat(np.arange(sizes.size), sizes)
+    return gid
 
 
-def _popcounts(N: int) -> np.ndarray:
-    pops = np.zeros(1, dtype=np.uint8)
-    for _ in range(N):
-        pops = np.concatenate([pops, pops + np.uint8(1)])
-    return pops
-
-
-def _group_real(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group_real(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Gap clusters of ``vals``: sorted representatives, the group of each
+    input, the largest spread inside one group and the smallest gap between
+    neighbouring groups."""
     order = np.argsort(vals, kind="stable")
     sv = vals[order]
-    breaks = np.nonzero(np.diff(sv) > VALUE_GROUPING_TOL)[0] + 1
-    starts = np.concatenate(([0], breaks)).astype(np.int64)
-    counts = np.diff(np.append(starts, sv.size))
-    reps = np.add.reduceat(sv, starts) / counts
-    return reps, starts, order
+    steps = np.diff(sv)
+    breaks = steps > VALUE_GROUPING_TOL
+    starts = np.concatenate(([0], np.nonzero(breaks)[0] + 1))
+    ends = np.append(starts[1:], sv.size)
+    sizes = ends - starts
+    reps = np.add.reduceat(sv, starts) / sizes
+    spread = float((sv[ends - 1] - sv[starts]).max())
+    gap = float(steps[breaks].min(initial=math.inf))
+    return reps, _group_ids(order, sizes), spread, gap
 
 
-def _group_complex(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Two-stage tolerance clustering: gap clusters of the real coordinate,
-    # then gap clusters of the imaginary coordinate inside each real cluster.
-    # Avoids chained-tolerance mistakes when interleaved imaginary parts sit
-    # inside one tight real cluster.
+def _group_complex(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """As :func:`_group_real`, for complex values.
+
+    Two-stage tolerance clustering: gap clusters of the real coordinate, then
+    gap clusters of the imaginary coordinate inside each real cluster.
+    Avoids chained-tolerance mistakes when interleaved imaginary parts sit
+    inside one tight real cluster.  Spread and gap are taken per coordinate.
+    """
     re = vals.real
     im = vals.imag
     order_re = np.argsort(re, kind="stable")
-    re_breaks = np.diff(re[order_re]) > VALUE_GROUPING_TOL
-    ids_sorted = np.concatenate(([0], np.cumsum(re_breaks))).astype(np.int64)
-    re_id = np.empty(vals.size, dtype=np.int64)
-    re_id[order_re] = ids_sorted
+    sre = re[order_re]
+    re_steps = np.diff(sre)
+    re_breaks = re_steps > VALUE_GROUPING_TOL
+    re_starts = np.concatenate(([0], np.nonzero(re_breaks)[0] + 1))
+    re_ends = np.append(re_starts[1:], vals.size)
+    re_id = np.empty(vals.size, dtype=np.intp)
+    re_id[order_re] = np.concatenate(([0], np.cumsum(re_breaks)))
     order = np.lexsort((im, re_id))
-    rid = re_id[order]
     sim = im[order]
-    new_group = (np.diff(rid) != 0) | (np.diff(sim) > VALUE_GROUPING_TOL)
-    starts = np.concatenate(([0], np.nonzero(new_group)[0] + 1)).astype(np.int64)
-    counts = np.diff(np.append(starts, vals.size))
+    im_steps = np.diff(sim)
+    same_re = np.diff(re_id[order]) == 0
+    im_breaks = same_re & (im_steps > VALUE_GROUPING_TOL)
+    starts = np.concatenate(([0], np.nonzero(~same_re | im_breaks)[0] + 1))
+    ends = np.append(starts[1:], vals.size)
+    sizes = ends - starts
     reps = (
-        np.add.reduceat(re[order], starts) / counts
-        + 1j * (np.add.reduceat(sim, starts) / counts)
+        np.add.reduceat(re[order], starts) / sizes
+        + 1j * (np.add.reduceat(sim, starts) / sizes)
     )
-    return reps, starts, order
+    spread = max(
+        float((sre[re_ends - 1] - sre[re_starts]).max()),
+        float((sim[ends - 1] - sim[starts]).max()),
+    )
+    gap = min(
+        float(re_steps[re_breaks].min(initial=math.inf)),
+        float(im_steps[im_breaks].min(initial=math.inf)),
+    )
+    return reps, _group_ids(order, sizes), spread, gap
+
+
+def _regroup(counts: np.ndarray, gid: np.ndarray, size: int) -> np.ndarray:
+    """Sum the columns of ``counts`` that share a group id.
+
+    ``bincount`` adds in float64, which is exact below 2^53; every count fits
+    in int32 (module invariant), so the cast back is exact too.
+    """
+    out = np.empty((counts.shape[0], size), dtype=np.int32)
+    for k, row in enumerate(counts):
+        out[k] = np.bincount(gid, weights=row, minlength=size)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
-class _Grouped:
-    reps: np.ndarray
-    starts: np.ndarray
-    pops_sorted: np.ndarray
+class _Law:
+    """Law of one part of one frequency class, independent of m.
+
+    ``values`` are the sorted grouped outcomes; ``counts[k, i]`` is the exact
+    number of masks of popcount k whose value falls in group i.  ``spread``
+    is the largest distance merged into one group at any step and ``gap`` the
+    smallest distance between distinct final outcomes.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    spread: float
+    gap: float
+
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes + self.counts.nbytes
 
 
-_GROUP_CACHE: dict[tuple[int, int, Part], _Grouped] = {}
+def _convolve(components: np.ndarray, group) -> _Law:
+    """Law of the sum over a random subset of ``components``, one atom at a time.
+
+    Each step splits every outcome into atom-off and atom-on (popcount + 1)
+    and regroups, so the table never holds more than twice the distinct
+    outcomes of the previous step.
+    """
+    values = np.zeros(1, dtype=components.dtype)
+    counts = np.ones((1, 1), dtype=np.int32)
+    spread = 0.0
+    gap = math.inf
+    for c in components:
+        k, size = counts.shape
+        split = np.zeros((k + 1, 2 * size), dtype=np.int32)
+        split[:k, :size] = counts
+        split[1:, size:] = counts
+        values, gid, step_spread, gap = group(np.concatenate([values, values + c]))
+        counts = _regroup(split, gid, values.size)
+        spread = max(spread, step_spread)
+    return _Law(values, counts, spread, gap)
 
 
-def _grouped_values(N: int, l: int, part: Part) -> _Grouped:
-    key = (N, l, part)
-    cached = _GROUP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    atoms = atom_table(N, l)
+def _build_law(N: int, g: int, part: Part) -> _Law:
+    atoms = atom_table(N, g)
     if part is Part.REAL:
-        reps, starts, order = _group_real(_doubling_values(atoms.real))
+        law = _convolve(atoms.real, _group_real)
     elif part is Part.IMAG:
-        reps, starts, order = _group_real(_doubling_values(atoms.imag))
-    elif part is Part.MODULUS:
-        reps, starts, order = _group_real(np.abs(_doubling_values(atoms)))
+        law = _convolve(atoms.imag, _group_real)
     elif part is Part.COMPLEX:
-        reps, starts, order = _group_complex(_doubling_values(atoms))
+        law = _convolve(atoms, _group_complex)
     else:
-        raise ParameterDomainError(f"no direct enumeration for part {part!r}")
-    pops_sorted = _popcounts(N)[order]
-    for arr in (reps, starts, pops_sorted):
-        arr.flags.writeable = False
-    grouped = _Grouped(reps, starts, pops_sorted)
-    if N <= _CACHE_MAX_N:
-        _GROUP_CACHE[key] = grouped
-    return grouped
+        joint = _law(N, g, Part.COMPLEX)
+        values, gid, spread, gap = _group_real(np.abs(joint.values))
+        counts = _regroup(joint.counts, gid, values.size)
+        law = _Law(values, counts, max(spread, joint.spread), gap)
+    if law.gap < GROUPING_MARGIN * VALUE_GROUPING_TOL:
+        raise ParameterDomainError(
+            f"distinct {part.value} outcomes at N={N}, gcd(l, N)={g} lie {law.gap:.3g} "
+            f"apart, inside the grouping margin {GROUPING_MARGIN:g} x {VALUE_GROUPING_TOL:g}"
+        )
+    law.values.flags.writeable = False
+    law.counts.flags.writeable = False
+    return law
+
+
+class _LawCache:
+    """Laws keyed by (N, gcd(l, N) mod N, part), bounded in bytes.
+
+    Least recently used laws are evicted first; a law larger than the bound
+    is returned but not kept.  Each key is built by one thread at a time, so
+    concurrent requests for a missing law wait for the first build instead
+    of repeating it.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._laws: OrderedDict[tuple, _Law] = OrderedDict()
+        self._lock = threading.Lock()
+        # One lock per key ever requested; keys are bounded by the hard cap.
+        self._key_locks: dict[tuple, threading.Lock] = {}
+
+    def get(self, key: tuple, build) -> _Law:
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            with self._lock:
+                law = self._laws.get(key)
+                if law is not None:
+                    self._laws.move_to_end(key)
+                    return law
+            law = build(*key)
+            with self._lock:
+                self._insert(key, law)
+            return law
+
+    def _insert(self, key: tuple, law: _Law) -> None:
+        if law.nbytes > self.max_bytes:
+            return
+        while self.nbytes + law.nbytes > self.max_bytes:
+            _, old = self._laws.popitem(last=False)
+            self.nbytes -= old.nbytes
+        self._laws[key] = law
+        self.nbytes += law.nbytes
+
+
+_LAWS = _LawCache(LAW_CACHE_BYTES)
+
+
+def _law(N: int, g: int, part: Part) -> _Law:
+    return _LAWS.get((N, g, part), _build_law)
 
 
 def _check_guard(params: ModelParams, max_enum_n: int) -> None:
@@ -226,7 +346,7 @@ def _check_guard(params: ModelParams, max_enum_n: int) -> None:
         raise ParameterDomainError(f"enumeration guard must be a positive integer, got {max_enum_n!r}")
     if max_enum_n > HARD_ENUM_CAP:
         raise ParameterDomainError(
-            f"enumeration guard cannot exceed {HARD_ENUM_CAP} (2^{HARD_ENUM_CAP} evaluations)"
+            f"enumeration guard cannot exceed {HARD_ENUM_CAP} (2^{HARD_ENUM_CAP} masks)"
         )
     if params.N > max_enum_n:
         raise CapabilityError(
@@ -235,38 +355,31 @@ def _check_guard(params: ModelParams, max_enum_n: int) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
-def _dist_arrays_cached(params: ModelParams, part: Part) -> tuple[np.ndarray, np.ndarray]:
+def _dist_arrays(
+    params: ModelParams, part: Part, max_enum_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped values and probabilities of one part: the entry point of every
+    exact query.  The law is shared by every l with the same gcd(l, N) (same
+    atom multiset) and every m (the popcount weights apply here)."""
+    _check_guard(params, max_enum_n)
+    if not isinstance(part, Part):
+        raise ParameterDomainError(f"part must be a Part, got {part!r}")
+    N = params.N
     base = Part.MODULUS if part is Part.MODULUS_CENTERED else part
-    grouped = _grouped_values(params.N, params.l, base)
-    weights = weight_table(params.N, params.m)
-    probs = np.add.reduceat(weights[grouped.pops_sorted], grouped.starts)
-    values = grouped.reps
+    law = _law(N, math.gcd(params.l, N) % N, base)
+    probs = weight_table(N, params.m) @ law.counts
+    values = law.values
     if part is Part.MODULUS_CENTERED:
         # Subtract the exact expected modulus computed in the same pass; no
         # closed form for it is assumed anywhere.
-        center = float(np.dot(values, probs))
-        values = values - center
+        values = values - float(np.dot(values, probs))
     keep = probs > 0.0
     if not bool(keep.all()):
         values = values[keep]
         probs = probs[keep]
-    values = np.array(values)
-    probs = np.array(probs)
     values.flags.writeable = False
     probs.flags.writeable = False
     return values, probs
-
-
-def _dist_arrays(
-    params: ModelParams, part: Part, max_enum_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    _check_guard(params, max_enum_n)
-    if not isinstance(part, Part):
-        raise ParameterDomainError(f"part must be a Part, got {part!r}")
-    if params.N <= _CACHE_MAX_N:
-        return _dist_arrays_cached(params, part)
-    return _dist_arrays_cached.__wrapped__(params, part)
 
 
 def enumerate_distribution(
@@ -473,4 +586,7 @@ def exact_psi2_moment_norm(
                 fd = g(d)
             best = max(best, fc, fd)
     pad = max(best - min(g(a), g(b)), 0.0) + 1e-15
-    return Psi2Estimate(best, Psi2Definition.MOMENT_SUP, (best, best + pad), pad)
+    hi = best + pad
+    # The tolerance is the width the float bracket really has, which can
+    # exceed ``pad`` by an ulp of ``best``.
+    return Psi2Estimate(best, Psi2Definition.MOMENT_SUP, (best, hi), hi - best)

@@ -111,6 +111,7 @@ class TestVerifyCommand:
         jsonschema.validate(summary, schema)
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
+        assert summary["environment"]["law_algorithm"] == "atom-convolution-v1"
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}
 
     def test_verify_deterministic_output(self, tmp_path):

@@ -1,7 +1,12 @@
 import itertools
 import json
 import math
+import sys
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_mask import oracle
 from spectral_mask import (
+    DEFAULT_ENUM_GUARD,
     CapabilityError,
     ModelParams,
     ParameterDomainError,
@@ -28,6 +35,7 @@ from spectral_mask import (
     psi2_upper,
     weight_table,
 )
+from spectral_mask.model import VALUE_GROUPING_TOL, atom_table
 
 
 def brute_force_law(params, part):
@@ -54,6 +62,48 @@ def dist_as_dict(dist):
             for v, p in zip(dist.values, dist.probs)
         }
     return {round(float(v), 7): float(p) for v, p in zip(dist.values, dist.probs)}
+
+
+def doubling_law(N, l, m, part):
+    """Brute-force reference: every 2^N subset sum by doubling, gap-clustered
+    after sorting, each mask weighted by its popcount.  No frequency class is
+    shared and nothing is cached."""
+    atoms = atom_table(N, l)
+    comps = {Part.REAL: atoms.real, Part.IMAG: atoms.imag}.get(part, atoms)
+    vals = np.zeros(1, dtype=comps.dtype)
+    pops = np.zeros(1, dtype=np.int64)
+    for c in comps:
+        vals = np.concatenate([vals, vals + c])
+        pops = np.concatenate([pops, pops + 1])
+    if part in (Part.MODULUS, Part.MODULUS_CENTERED):
+        vals = np.abs(vals)
+    if part is Part.COMPLEX:
+        # Gap clusters of the real coordinate, then of the imaginary one.
+        order_re = np.argsort(vals.real, kind="stable")
+        re_id = np.empty(vals.size, dtype=np.int64)
+        re_id[order_re] = np.concatenate(
+            ([0], np.cumsum(np.diff(vals.real[order_re]) > VALUE_GROUPING_TOL))
+        )
+        order = np.lexsort((vals.imag, re_id))
+        breaks = (np.diff(re_id[order]) != 0) | (np.diff(vals.imag[order]) > VALUE_GROUPING_TOL)
+    else:
+        order = np.argsort(vals, kind="stable")
+        breaks = np.diff(vals[order]) > VALUE_GROUPING_TOL
+    starts = np.concatenate(([0], np.nonzero(breaks)[0] + 1))
+    sizes = np.diff(np.append(starts, vals.size))
+    values = np.add.reduceat(vals[order], starts) / sizes
+    probs = np.add.reduceat(weight_table(N, m)[pops[order]], starts)
+    if part is Part.MODULUS_CENTERED:
+        values = values - np.dot(values, probs)
+    keep = probs > 0.0
+    return values[keep], probs[keep]
+
+
+def assert_same_law(got, want):
+    (gv, gp), (wv, wp) = got, want
+    assert gv.shape == wv.shape
+    assert np.abs(gv - wv).max() <= 1e-12
+    assert np.abs(gp - wp).max() <= 1e-12
 
 
 class TestEnumerateDistribution:
@@ -266,8 +316,156 @@ class TestExactPsi2MomentNorm:
         sup_norm = float(np.abs(dist.values).max())
         assert exact_psi2_moment_norm(params, Part.REAL).norm <= sup_norm + 1e-9
 
+    @pytest.mark.parametrize(
+        "N,l,m",
+        [(8, 4, m) for m in (3, 4, 5)]
+        + [(10, 5, m) for m in range(3, 8)]
+        + [(12, 6, m) for m in range(3, 10)]
+        + [(13, 1, 6), (13, 12, 7), (14, 7, 3), (14, 2, 9), (15, 1, 5), (15, 7, 10), (16, 4, 11), (16, 1, 5)],
+    )
+    def test_bracket_width_is_its_tolerance(self, N, l, m):
+        # At these points best + pad - best exceeds pad by an ulp of best.
+        est = exact_psi2_moment_norm(ModelParams(N, l, m), Part.REAL)
+        lo, hi = est.bracket
+        assert lo == est.norm and hi - lo == est.tolerance
+        values, probs = doubling_law(N, l, m, Part.REAL)
+        absv = np.abs(values)
+        dense = max(
+            float(np.dot(probs, absv**p)) ** (1.0 / p) / math.sqrt(p)
+            for p in np.geomspace(1.0, 200.0, 2000)
+        )
+        assert est.norm == pytest.approx(dense, rel=1e-6)
+        assert dense <= est.norm + 1e-12
+
     def test_bad_args(self):
         with pytest.raises(ParameterDomainError):
             exact_psi2_moment_norm(ModelParams(4, 1, 2), Part.REAL, p_max=0.5)
         with pytest.raises(ParameterDomainError):
             exact_psi2_moment_norm(ModelParams(4, 1, 2), Part.REAL, grid=1)
+
+
+ALL_PARTS = [Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED, Part.COMPLEX]
+
+
+class TestConvolutionLaw:
+    @pytest.mark.parametrize("part", ALL_PARTS)
+    def test_matches_doubling_reference(self, part):
+        for N in range(1, 13):
+            for l in range(N):
+                for m in sorted({1, (N + 1) // 2, N}):
+                    params = ModelParams(N, l, m)
+                    assert_same_law(
+                        oracle._dist_arrays(params, part, DEFAULT_ENUM_GUARD),
+                        doubling_law(N, l, m, part),
+                    )
+
+    @given(
+        st.integers(min_value=1, max_value=14).flatmap(
+            lambda N: st.tuples(
+                st.just(N),
+                st.integers(min_value=0, max_value=N - 1),
+                st.integers(min_value=1, max_value=N),
+                st.sampled_from(ALL_PARTS),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_law_depends_on_gcd_only(self, case):
+        N, l, m, part = case
+        assert_same_law(doubling_law(N, l, m, part), doubling_law(N, math.gcd(l, N) % N, m, part))
+
+    def test_counts_are_binomial(self):
+        # Column k of the count table covers every mask of popcount k once.
+        for part in (Part.REAL, Part.IMAG, Part.MODULUS, Part.COMPLEX):
+            law = oracle._law(13, 1, part)
+            assert law.counts.dtype == np.int32
+            assert law.counts.sum(axis=1).tolist() == [math.comb(13, k) for k in range(14)]
+
+    def test_grouping_margin_measured(self):
+        for N in range(1, 13):
+            for g in {math.gcd(l, N) % N for l in range(N)}:
+                for part in (Part.REAL, Part.IMAG, Part.MODULUS, Part.COMPLEX):
+                    law = oracle._law(N, g, part)
+                    assert law.spread <= 1e-13
+                    assert law.gap >= oracle.GROUPING_MARGIN * VALUE_GROUPING_TOL
+
+    def test_grouping_margin_enforced(self):
+        # Two distinct sums of cos(2 pi k / 23) lie 8.5e-8 apart, under the
+        # 1e-6 margin: the law is refused, not grouped on trust.
+        with pytest.raises(ParameterDomainError, match="grouping margin"):
+            enumerate_distribution(ModelParams(23, 1, 5), Part.REAL)
+
+    def test_guard_refuses_before_building(self, monkeypatch):
+        def no_build(*key):
+            raise AssertionError(f"law {key} built past the guard")
+
+        monkeypatch.setattr(oracle, "_build_law", no_build)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError):
+                enumerate_distribution(ModelParams(25, 1, 3), Part.MODULUS)
+            with pytest.raises(CapabilityError):
+                exact_tail(ModelParams(20, 1, 3), Part.REAL, 1.0, max_enum_n=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+class TestLawCache:
+    def test_concurrent_requests_build_once(self):
+        cache = oracle._LawCache(1 << 20)
+        builds = []
+        lock = threading.Lock()
+
+        def build(*key):
+            with lock:
+                builds.append(key)
+            time.sleep(0.05)
+            return SimpleNamespace(nbytes=100)
+
+        keys = [(5, 1, Part.REAL), (5, 1, Part.IMAG), (6, 2, Part.REAL)]
+        got = {}
+        start = threading.Barrier(8)
+
+        def worker(i):
+            start.wait(timeout=10)
+            key = keys[i % len(keys)]
+            law = cache.get(key, build)
+            with lock:
+                got.setdefault(key, set()).add(id(law))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == len(keys) and set(builds) == set(keys)
+        assert all(len(ids) == 1 for ids in got.values()) and len(got) == len(keys)
+        assert cache.nbytes == 300
+
+    def test_bytes_stay_under_bound(self):
+        bound = 200_000
+        cache = oracle._LawCache(bound)
+        for N in range(1, 17):
+            for part in (Part.REAL, Part.COMPLEX):
+                cache.get((N, 1 % N, part), oracle._build_law)
+                assert cache.nbytes <= bound
+                assert cache.nbytes == sum(law.nbytes for law in cache._laws.values())
+        assert (16, 1, Part.COMPLEX) not in cache._laws  # larger than the bound
+        assert (16, 1, Part.REAL) in cache._laws
+
+    def test_module_cache_under_bound(self):
+        for N in range(1, 17):
+            for l in range(N):
+                for part in ALL_PARTS:
+                    oracle._dist_arrays(ModelParams(N, l, 1), part, DEFAULT_ENUM_GUARD)
+        cache = oracle._LAWS
+        assert 0 < cache.nbytes <= oracle.LAW_CACHE_BYTES
+        assert cache.nbytes == sum(law.nbytes for law in cache._laws.values())
