@@ -23,7 +23,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,14 +139,14 @@ def weight_table(N: int, m: int) -> np.ndarray:
     """Single-mask weight (m/N)^k (1-m/N)^(N-k) for popcount k = 0..N.
 
     Each entry is the exact rational m^k (N-m)^(N-k) / N^N correctly rounded
-    to float64; no pow chains, no underflow for N within the hard cap.
+    to float64 (true division of Python ints rounds once); no pow chains, no
+    underflow for N within the hard cap.
     """
     if not isinstance(N, int) or N < 1 or not isinstance(m, int) or not 1 <= m <= N:
         raise ParameterDomainError(f"need 1 <= m <= N, got N={N!r}, m={m!r}")
     den = N**N
     return np.array(
-        [float(Fraction(m**k * (N - m) ** (N - k), den)) for k in range(N + 1)],
-        dtype=np.float64,
+        [m**k * (N - m) ** (N - k) / den for k in range(N + 1)], dtype=np.float64
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spectral_mask import oracle
 from spectral_mask import (
     DEFAULT_ENUM_GUARD,
+    HARD_ENUM_CAP,
     CapabilityError,
     ModelParams,
     ParameterDomainError,
@@ -178,9 +179,12 @@ class TestEnumerateDistribution:
         assert isinstance(complex_payload["atoms"][0]["v"], list)
 
     def test_weight_table_matches_fractions(self):
-        w = weight_table(6, 2)
-        for k in range(7):
-            assert w[k] == float(Fraction(2, 6) ** k * Fraction(4, 6) ** (6 - k))
+        for N in range(1, HARD_ENUM_CAP + 1):
+            for m in range(1, N + 1):
+                w = weight_table(N, m)
+                p = Fraction(m, N)
+                for k in range(N + 1):
+                    assert w[k] == float(p**k * (1 - p) ** (N - k))
 
 
 class TestExactMoment:
