@@ -262,11 +262,6 @@ def tail_bound_q(N: int, t: float) -> float:
     )
 
 
-def effective_tail_bound(raw: float) -> float:
-    """Clamp a raw tail bound into [0, 2] for reporting; keep the raw value too."""
-    return min(max(raw, 0.0), 2.0)
-
-
 def _check_rational_p(p_num: int, p_den: int) -> None:
     if not isinstance(p_num, int) or not isinstance(p_den, int):
         raise ParameterDomainError("probability must be given as an integer pair")
@@ -312,25 +307,3 @@ def diff_binomial_pmf(l: int, p_num: int, p_den: int, k: int) -> float:
             l, j, p_num, p_den
         )
     return float(Fraction(total, p_den ** (2 * l)))
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """One bound evaluation request; only the fields an operation needs are set."""
-
-    params: ModelParams | None = None
-    t: float | None = None
-    K: float | None = None
-    n_order: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
-            raise ParameterDomainError(f"t must be finite and >= 0, got {self.t!r}")
-        if self.K is not None and not (math.isfinite(self.K) and self.K > 0):
-            raise ParameterDomainError(f"K must be finite and > 0, got {self.K!r}")
-        if self.n_order is not None and (
-            not isinstance(self.n_order, int) or self.n_order < 1
-        ):
-            raise ParameterDomainError(
-                f"n_order must be a positive integer, got {self.n_order!r}"
-            )

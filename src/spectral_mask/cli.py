@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -33,15 +33,15 @@ from .model import ModelParams, Part
 from .montecarlo import (
     RNG_ALGORITHM,
     Accumulator,
-    EstimateWithCI,
     McConfig,
     McQueries,
     _splitmix64,
+    mc_moment,
     mc_psi2,
     mc_run,
     mc_tail,
 )
-from .verify import SUITES, DOMINATION_EPS, SuiteResult
+from .verify import SUITES, SuiteResult
 
 #: Environment variable capping the worker count of any command.
 THREADS_ENV_VAR = "SPECTRAL_MASK_THREADS"
@@ -167,15 +167,36 @@ def _load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def load_config(path: str | None) -> dict:
+def _apply_flags(data: dict, args: argparse.Namespace) -> dict:
+    """``data`` with the command-line overrides written into it."""
+    out = dict(data)
+    if args.out is not None:
+        out["output_dir"] = args.out
+    if args.suites is not None:
+        out["suites"] = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if args.max_enum_n is not None:
+        out["max_enum_n"] = args.max_enum_n
+    mc = {k: v for k, v in (("seed", args.seed), ("samples", args.samples)) if v is not None}
+    if mc:
+        base = out.get("mc", {})
+        # A malformed "mc" value is left for the schema to reject.
+        out["mc"] = {**base, **mc} if isinstance(base, dict) else base
+    return out
+
+
+def load_config(path: str | None, args: argparse.Namespace | None = None) -> dict:
+    """The config file at ``path`` (empty when ``None``) with the flags of
+    ``args`` applied, validated against the config schema as one document."""
     data: dict = {}
     if path is not None:
         data = json.loads(Path(path).read_text())
+    if args is not None and isinstance(data, dict):
+        data = _apply_flags(data, args)
     jsonschema.validate(data, _load_schema("config.schema.json"))
     return data
 
 
-def build_config(data: dict, args: argparse.Namespace | None = None) -> RunConfig:
+def build_config(data: dict) -> RunConfig:
     kwargs: dict = {}
     if "n_grid" in data:
         kwargs["n_grid"] = tuple(data["n_grid"])
@@ -207,23 +228,6 @@ def build_config(data: dict, args: argparse.Namespace | None = None) -> RunConfi
         kwargs["max_enum_n"] = data["max_enum_n"]
     if "workers" in data:
         kwargs["workers"] = data["workers"]
-    if args is not None:
-        if args.out is not None:
-            kwargs["output_dir"] = Path(args.out)
-        if args.seed is not None:
-            kwargs["mc_seed"] = args.seed
-        if args.samples is not None:
-            kwargs["mc_samples"] = args.samples
-        if args.suites is not None:
-            names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-            unknown = [s for s in names if s not in SUITES]
-            if unknown:
-                raise ParameterDomainError(
-                    f"unknown suites {unknown}; registered: {sorted(SUITES)}"
-                )
-            kwargs["suites"] = names
-        if args.max_enum_n is not None:
-            kwargs["max_enum_n"] = args.max_enum_n
     return RunConfig(**kwargs)
 
 
@@ -262,77 +266,21 @@ def _map_points(items, fn, workers: int):
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every applicable bound at one (params, query) point, with exact and
-    Monte Carlo companions and domination flags where the exact value exists.
-
-    Bound values are the raw formula outputs; clamping to [0, 2] happens only
-    in :meth:`effective_bounds`.
-    """
-
-    params: ModelParams
-    query: tuple[str, float]
-    bounds: dict[str, float]
-    exact: float | None = None
-    mc: EstimateWithCI | None = None
-    dominated: dict[str, bool] | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.exact is None:
-            if self.dominated is not None:
-                raise ParameterDomainError("domination flags need an exact value")
-        elif self.dominated is not None and set(self.dominated) != set(self.bounds):
-            raise ParameterDomainError("domination flags must cover exactly the bounds")
-
-    def effective_bounds(self) -> dict[str, float]:
-        return {k: bounds.effective_tail_bound(v) for k, v in self.bounds.items()}
-
-    def to_dict(self) -> dict:
-        return {
-            "params": {"N": self.params.N, "l": self.params.l, "m": self.params.m},
-            "query": {self.query[0]: self.query[1]},
-            "exact": self.exact,
-            "mc": None
-            if self.mc is None
-            else {
-                "estimate": self.mc.estimate,
-                "half_width": self.mc.half_width,
-                "n": self.mc.n,
-                "method": self.mc.method.value,
-            },
-            "bounds": dict(self.bounds),
-            "dominated": None if self.dominated is None else dict(self.dominated),
-        }
-
-
-def tail_bound_report(
-    params: ModelParams,
-    part: Part,
-    t: float,
-    exact: float | None = None,
-    mc: EstimateWithCI | None = None,
-) -> BoundReport:
-    """Assemble the applicable tail bounds at (params, part, t)."""
-    values: dict[str, float] = {}
-    in_hypotheses = params.l >= 1 and not params.is_degenerate_2l
-    if in_hypotheses:
-        if part is Part.REAL:
-            values["thm23_i"] = bounds.tail_bound_uv(params.N, t)
-        elif part is Part.IMAG:
-            values["thm23_ii"] = bounds.tail_bound_uv(params.N, t)
-        elif part is Part.MODULUS_CENTERED:
-            values["thm23_iii"] = bounds.tail_bound_mod(params.N, t)
+def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float | None]:
+    """The thm23, eq9, eq10 and q_form cells of one tails row: each bound
+    whose hypotheses hold at (params, part, t), else ``None``."""
+    thm23 = eq9 = eq10 = q_form = None
+    if params.l >= 1 and not params.is_degenerate_2l:
         if part in (Part.REAL, Part.IMAG):
+            thm23 = bounds.tail_bound_uv(params.N, t)
             if 2 * params.m < params.N:
-                values["eq9"] = bounds.tail_bound_entropy(params.N, params.m, t)
-                values["eq10"] = bounds.tail_bound_combined(params.N, params.m, t)
+                eq9 = bounds.tail_bound_entropy(params.N, params.m, t)
+                eq10 = bounds.tail_bound_combined(params.N, params.m, t)
             if t > 0:
-                values["q_form"] = bounds.tail_bound_q(params.N, t)
-    dominated = None
-    if exact is not None:
-        dominated = {k: exact <= v + DOMINATION_EPS for k, v in values.items()}
-    return BoundReport(params, ("t", t), values, exact=exact, mc=mc, dominated=dominated)
+                q_form = bounds.tail_bound_q(params.N, t)
+        elif part is Part.MODULUS_CENTERED:
+            thm23 = bounds.tail_bound_mod(params.N, t)
+    return [thm23, eq9, eq10, q_form]
 
 
 def _modulus_center(params: ModelParams, cfg: RunConfig, workers: int) -> float:
@@ -350,7 +298,7 @@ def _modulus_center(params: ModelParams, cfg: RunConfig, workers: int) -> float:
         confidence=cfg.mc_confidence,
     )
     acc = mc_run(params, McQueries(parts=(Part.MODULUS,)), pre, workers=workers)
-    return acc.sum_mod / acc.n
+    return mc_moment(acc, Part.MODULUS, 1).estimate
 
 
 def _tails_point(
@@ -382,21 +330,14 @@ def _tails_point(
             t = float(t)
             exact = None if part not in exact_curves else float(exact_curves[part][i])
             est = mc_tail(acc, part, t) if acc is not None else None
-            report = tail_bound_report(params, part, t, exact=exact, mc=est)
             rows.append(
                 [
                     _fmt(t),
-                    _fmt(report.exact),
+                    _fmt(exact),
                     _fmt(None if est is None else est.estimate),
                     _fmt(None if est is None else est.half_width),
-                    _fmt(next(
-                        (report.bounds[k] for k in ("thm23_i", "thm23_ii", "thm23_iii") if k in report.bounds),
-                        None,
-                    )),
-                    _fmt(report.bounds.get("eq9")),
-                    _fmt(report.bounds.get("eq10")),
-                    _fmt(report.bounds.get("q_form")),
                 ]
+                + [_fmt(v) for v in _tail_bound_cells(params, part, t)]
             )
         name = f"tails_N{params.N}_l{params.l}_m{params.m}_{part.value}.csv"
         files.append((name, rows))
@@ -640,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(load_config(args.config), args)
+        cfg = build_config(load_config(args.config, args))
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "tails":

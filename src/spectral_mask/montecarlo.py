@@ -6,9 +6,12 @@ given config produces bit-identical results no matter how many workers
 computed the batches.  Per-batch accumulators merge in a deterministic binary
 tree by batch index.
 
-Reductions are single-pass and must be registered up front; asking for an
-unregistered threshold or scale afterwards raises ``QueryError`` instead of
-silently re-running.
+Reductions are single-pass and must be registered up front: one table of
+power sums keyed by (part, order) and one of threshold hits keyed by
+(part, threshold), both over the registered parts only.  Asking for an
+unregistered part, order or threshold afterwards raises ``QueryError``
+instead of silently re-running.  ``mc_run`` and ``mc_psi2`` draw through the
+same batch loop, so both see the same samples for the same config.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .model import (
     _inclusion_threshold,
     atom_table,
 )
-from .oracle import Psi2Definition, Psi2Estimate
+from .oracle import Psi2Definition, Psi2Estimate, _psi2_bisect
 
-#: Generator family used for every draw; echoed in snapshots for audits.
+#: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
 
 #: Default ceiling on samples * N for one run.
@@ -91,23 +94,21 @@ class McConfig:
 class McQueries:
     """Reductions to register before the pass.
 
-    Thresholds, exponential scales and extra moment orders apply to every
-    listed part.  Centered-modulus queries need an explicit ``modulus_center``
-    (the exact expected modulus from the oracle, or a prior estimate); the
-    engine never guesses it.
+    Thresholds and extra moment orders apply to every listed part.
+    Centered-modulus queries need an explicit ``modulus_center`` (the exact
+    expected modulus from the oracle, or a prior estimate); the engine never
+    guesses it.
     """
 
     parts: tuple[Part, ...] = (Part.REAL, Part.IMAG, Part.MODULUS)
     moment_orders: tuple[int, ...] = ()
     tail_thresholds: tuple[float, ...] = ()
-    exp_scales: tuple[float, ...] = ()
     modulus_center: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "moment_orders", tuple(int(k) for k in self.moment_orders))
         object.__setattr__(self, "tail_thresholds", tuple(float(t) for t in self.tail_thresholds))
-        object.__setattr__(self, "exp_scales", tuple(float(k) for k in self.exp_scales))
         if not self.parts:
             raise ParameterDomainError("at least one part must be requested")
         for part in self.parts:
@@ -119,9 +120,6 @@ class McQueries:
         for t in self.tail_thresholds:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ParameterDomainError(f"tail thresholds must be finite and >= 0, got {t}")
-        for k in self.exp_scales:
-            if not (math.isfinite(k) and k > 0.0):
-                raise ParameterDomainError(f"exp-moment scales must be finite and > 0, got {k}")
         if Part.MODULUS_CENTERED in self.parts and self.modulus_center is None:
             raise ParameterDomainError(
                 "modulus_centered queries need an explicit modulus_center"
@@ -152,85 +150,81 @@ class EstimateWithCI:
         return abs(self.estimate - value) <= self.half_width + 1e-12
 
 
-# Extra moment orders tracked beyond the named sum fields: order 4 backs the
-# normal-approx CI of the always-on second moment.
-_BASE_EXTRA_ORDERS = (4,)
-
-
-def _tracked_orders(queries: McQueries, part: Part) -> tuple[int, ...]:
-    orders = set(_BASE_EXTRA_ORDERS)
-    if part is Part.MODULUS_CENTERED:
-        orders.update((1, 2))
+def _tracked_orders(queries: McQueries) -> tuple[int, ...]:
+    # Orders 1 and 2 back the always-available mean and second moment, 4 the
+    # CI of the second; each registered order k also needs 2k for its CI.
+    orders = {1, 2, 4}
     for k in queries.moment_orders:
-        orders.add(k)
-        orders.add(2 * k)  # backs the CI of order k
+        orders.update((k, 2 * k))
     return tuple(sorted(orders))
 
 
 @dataclass
 class Accumulator:
-    """Mergeable single-pass reductions for one (params, queries, config) run."""
+    """Mergeable single-pass reductions for one (params, queries, config) run.
+
+    ``power_sums[(part, k)]`` is the sum of X^k over the samples of each
+    registered part; ``threshold_hits[(part, t)]`` counts |X| >= t.
+    """
 
     params: ModelParams
     queries: McQueries
     cfg: McConfig
     n: int = 0
-    sum_re: float = 0.0
-    sum_im: float = 0.0
-    sum_sq_re: float = 0.0
-    sum_sq_im: float = 0.0
-    sum_mod: float = 0.0
-    sum_sq_mod: float = 0.0
-    moment_sums: dict = field(default_factory=dict)
+    power_sums: dict = field(default_factory=dict)
     threshold_hits: dict = field(default_factory=dict)
-    exp_sums: dict = field(default_factory=dict)
-    exp_sq_sums: dict = field(default_factory=dict)
 
     @classmethod
     def zero(cls, params: ModelParams, queries: McQueries, cfg: McConfig) -> "Accumulator":
         acc = cls(params, queries, cfg)
         for part in queries.parts:
-            for k in _tracked_orders(queries, part):
-                acc.moment_sums[(part, k)] = 0.0
+            for k in _tracked_orders(queries):
+                acc.power_sums[(part, k)] = 0.0
             for t in queries.tail_thresholds:
                 acc.threshold_hits[(part, t)] = 0
-            for K in queries.exp_scales:
-                acc.exp_sums[(part, K)] = 0.0
-                acc.exp_sq_sums[(part, K)] = 0.0
         return acc
 
 
-def _part_arrays(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> dict:
-    mod = np.hypot(re, im)
-    out = {Part.REAL: re, Part.IMAG: im, Part.MODULUS: mod}
-    if Part.MODULUS_CENTERED in acc.queries.parts:
-        out[Part.MODULUS_CENTERED] = mod - acc.queries.modulus_center
+def _part_arrays(
+    parts: tuple[Part, ...], re: np.ndarray, im: np.ndarray, center: float | None
+) -> dict:
+    """The samples of each requested part; the modulus is computed only when
+    a modulus part is requested."""
+    out = {Part.REAL: re, Part.IMAG: im}
+    if Part.MODULUS in parts or Part.MODULUS_CENTERED in parts:
+        mod = np.hypot(re, im)
+        out[Part.MODULUS] = mod
+        if Part.MODULUS_CENTERED in parts:
+            out[Part.MODULUS_CENTERED] = mod - center
     return out
 
 
+def _power_sum(x: np.ndarray, k: int) -> float:
+    if k == 1:
+        return float(x.sum())
+    if k == 2:
+        return float(np.dot(x, x))
+    return float(np.sum(x**k))
+
+
 def _accumulate(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> None:
-    arrays = _part_arrays(acc, re, im)
-    mod = arrays[Part.MODULUS]
+    arrays = _part_arrays(acc.queries.parts, re, im, acc.queries.modulus_center)
     acc.n += int(re.size)
-    acc.sum_re += float(re.sum())
-    acc.sum_im += float(im.sum())
-    acc.sum_sq_re += float(np.dot(re, re))
-    acc.sum_sq_im += float(np.dot(im, im))
-    acc.sum_mod += float(mod.sum())
-    acc.sum_sq_mod += float(np.dot(mod, mod))
-    for (part, k), _ in acc.moment_sums.items():
-        acc.moment_sums[(part, k)] += float(np.sum(arrays[part] ** k))
-    for (part, t), _ in acc.threshold_hits.items():
+    for part, k in acc.power_sums:
+        acc.power_sums[(part, k)] += _power_sum(arrays[part], k)
+    for part, t in acc.threshold_hits:
         acc.threshold_hits[(part, t)] += int(
             np.count_nonzero(np.abs(arrays[part]) >= t - VALUE_GROUPING_TOL)
         )
-    if acc.exp_sums:
-        with np.errstate(over="ignore"):
-            for (part, K), _ in acc.exp_sums.items():
-                x = arrays[part]
-                e = np.exp((x * x) / (K * K))
-                acc.exp_sums[(part, K)] += float(e.sum())
-                acc.exp_sq_sums[(part, K)] += float(np.dot(e, e))
+
+
+def _draw_masks(params: ModelParams, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` Bernoulli(m/N) masks as a 0/1 float64 matrix of N columns."""
+    if params.m == params.N:
+        return np.ones((rows, params.N), dtype=np.float64)
+    threshold = np.uint64(_inclusion_threshold(params.m, params.N))
+    u = rng.integers(0, 2**64, size=(rows, params.N), dtype=np.uint64)
+    return (u < threshold).astype(np.float64)
 
 
 def _batch_part_values(
@@ -239,28 +233,8 @@ def _batch_part_values(
     atoms = atom_table(params.N, params.l)
     cos_col = np.ascontiguousarray(atoms.real)
     msin_col = np.ascontiguousarray(atoms.imag)
-    if params.m == params.N:
-        incl = np.ones((rows, params.N), dtype=np.float64)
-    else:
-        threshold = np.uint64(_inclusion_threshold(params.m, params.N))
-        u = rng.integers(0, 2**64, size=(rows, params.N), dtype=np.uint64)
-        incl = (u < threshold).astype(np.float64)
+    incl = _draw_masks(params, rng, rows)
     return incl @ cos_col, incl @ msin_col
-
-
-def _run_batch(
-    params: ModelParams, queries: McQueries, cfg: McConfig, batch_index: int, size: int
-) -> Accumulator:
-    acc = Accumulator.zero(params, queries, cfg)
-    rng = _substream(cfg.seed, batch_index)
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // params.N)
-    done = 0
-    while done < size:
-        rows = min(rows_per_chunk, size - done)
-        re, im = _batch_part_values(params, rng, rows)
-        _accumulate(acc, re, im)
-        done += rows
-    return acc
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
@@ -268,28 +242,18 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     if (a.params, a.queries, a.cfg) != (b.params, b.queries, b.cfg):
         raise ParameterDomainError("cannot merge accumulators from different runs")
     if (
-        a.moment_sums.keys() != b.moment_sums.keys()
+        a.power_sums.keys() != b.power_sums.keys()
         or a.threshold_hits.keys() != b.threshold_hits.keys()
-        or a.exp_sums.keys() != b.exp_sums.keys()
     ):
         raise ParameterDomainError("cannot merge accumulators with different registrations")
-    out = Accumulator(
+    return Accumulator(
         a.params,
         a.queries,
         a.cfg,
         n=a.n + b.n,
-        sum_re=a.sum_re + b.sum_re,
-        sum_im=a.sum_im + b.sum_im,
-        sum_sq_re=a.sum_sq_re + b.sum_sq_re,
-        sum_sq_im=a.sum_sq_im + b.sum_sq_im,
-        sum_mod=a.sum_mod + b.sum_mod,
-        sum_sq_mod=a.sum_sq_mod + b.sum_sq_mod,
-        moment_sums={k: v + b.moment_sums[k] for k, v in a.moment_sums.items()},
+        power_sums={k: v + b.power_sums[k] for k, v in a.power_sums.items()},
         threshold_hits={k: v + b.threshold_hits[k] for k, v in a.threshold_hits.items()},
-        exp_sums={k: v + b.exp_sums[k] for k, v in a.exp_sums.items()},
-        exp_sq_sums={k: v + b.exp_sq_sums[k] for k, v in a.exp_sq_sums.items()},
     )
-    return out
 
 
 def merge_tree(accs: list[Accumulator]) -> Accumulator:
@@ -324,6 +288,36 @@ def _check_work(params: ModelParams, samples: int, work_ceiling: int | None) -> 
         )
 
 
+def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
+    """The (re, im) sample chunks of one batch, in stream order."""
+    rng = _substream(seed, batch_index)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // params.N)
+    done = 0
+    while done < size:
+        rows = min(rows_per_chunk, size - done)
+        yield _batch_part_values(params, rng, rows)
+        done += rows
+
+
+def _map_batches(cfg: McConfig, workers: int, fn) -> list:
+    """``fn(b, size)`` for every batch b of ``cfg``, returned in batch order
+    whichever of up to ``workers`` threads ran it."""
+    items = list(enumerate(_batch_sizes(cfg)))
+    if workers == 1 or len(items) == 1:
+        return [fn(b, size) for b, size in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda item: fn(*item), items))
+
+
+def _run_batch(
+    params: ModelParams, queries: McQueries, cfg: McConfig, batch_index: int, size: int
+) -> Accumulator:
+    acc = Accumulator.zero(params, queries, cfg)
+    for re, im in _batch_chunks(params, cfg.seed, batch_index, size):
+        _accumulate(acc, re, im)
+    return acc
+
+
 def mc_run(
     params: ModelParams,
     queries: McQueries,
@@ -342,37 +336,20 @@ def mc_run(
     if not isinstance(workers, int) or workers < 1:
         raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
     _check_work(params, cfg.samples, work_ceiling)
-    sizes = _batch_sizes(cfg)
-    if workers == 1 or len(sizes) == 1:
-        accs = [_run_batch(params, queries, cfg, b, size) for b, size in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(
-                pool.map(
-                    lambda item: _run_batch(params, queries, cfg, item[0], item[1]),
-                    enumerate(sizes),
-                )
-            )
-    return merge_tree(accs)
+    return merge_tree(
+        _map_batches(
+            cfg, workers, lambda b, size: _run_batch(params, queries, cfg, b, size)
+        )
+    )
 
 
 def _z_value(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
-def _moment_sum(acc: Accumulator, part: Part, order: int) -> float:
-    named = {
-        (Part.REAL, 1): acc.sum_re,
-        (Part.IMAG, 1): acc.sum_im,
-        (Part.MODULUS, 1): acc.sum_mod,
-        (Part.REAL, 2): acc.sum_sq_re,
-        (Part.IMAG, 2): acc.sum_sq_im,
-        (Part.MODULUS, 2): acc.sum_sq_mod,
-    }
-    if (part, order) in named:
-        return named[(part, order)]
+def _power_sums(acc: Accumulator, part: Part, order: int) -> tuple[float, float]:
     try:
-        return acc.moment_sums[(part, order)]
+        return acc.power_sums[(part, order)], acc.power_sums[(part, 2 * order)]
     except KeyError:
         raise QueryError(
             f"moment order {order} for part {part.value} was not registered before the run"
@@ -383,10 +360,10 @@ def mc_moment(acc: Accumulator, part: Part, order: int) -> EstimateWithCI:
     """Sample moment E[X^order] with a normal-approximation CI.
 
     The half-width uses the sample variance of X^order, so the doubled order
-    must have been tracked; orders 1 and 2 always are.
+    must have been tracked; orders 1 and 2 of every registered part always
+    are.
     """
-    s_k = _moment_sum(acc, part, order)
-    s_2k = _moment_sum(acc, part, 2 * order)
+    s_k, s_2k = _power_sums(acc, part, order)
     n = acc.n
     estimate = s_k / n
     variance = max(s_2k / n - estimate * estimate, 0.0)
@@ -410,56 +387,6 @@ def mc_tail(acc: Accumulator, part: Part, t: float) -> EstimateWithCI:
     estimate = acc.threshold_hits[key] / n
     half = math.sqrt(math.log(2.0 / (1.0 - acc.cfg.confidence)) / (2.0 * n))
     return EstimateWithCI(estimate, half, n, CIMethod.HOEFFDING_INTERVAL)
-
-
-def mc_exp_moment(acc: Accumulator, part: Part, K: float) -> EstimateWithCI:
-    """Sample E[exp(X^2/K^2)] with a normal-approximation CI."""
-    key = (part, float(K))
-    if key not in acc.exp_sums:
-        raise QueryError(
-            f"exp-moment scale {K!r} for part {part.value} was not registered before the run"
-        )
-    n = acc.n
-    estimate = acc.exp_sums[key] / n
-    variance = max(acc.exp_sq_sums[key] / n - estimate * estimate, 0.0)
-    half = _z_value(acc.cfg.confidence) * math.sqrt(variance / n)
-    return EstimateWithCI(estimate, half, n, CIMethod.NORMAL_APPROX)
-
-
-def _collect_part_values(
-    params: ModelParams,
-    part: Part,
-    cfg: McConfig,
-    center: float | None,
-    workers: int,
-) -> np.ndarray:
-    def one(item: tuple[int, int]) -> np.ndarray:
-        b, size = item
-        rng = _substream(cfg.seed, b)
-        rows_per_chunk = max(1, _CHUNK_ELEMENTS // params.N)
-        chunks = []
-        done = 0
-        while done < size:
-            rows = min(rows_per_chunk, size - done)
-            re, im = _batch_part_values(params, rng, rows)
-            if part is Part.REAL:
-                chunks.append(re)
-            elif part is Part.IMAG:
-                chunks.append(im)
-            elif part is Part.MODULUS:
-                chunks.append(np.hypot(re, im))
-            else:
-                chunks.append(np.hypot(re, im) - center)
-            done += rows
-        return np.concatenate(chunks)
-
-    items = list(enumerate(_batch_sizes(cfg)))
-    if workers == 1 or len(items) == 1:
-        parts = [one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, items))
-    return np.concatenate(parts)
 
 
 def mc_psi2(
@@ -486,27 +413,28 @@ def mc_psi2(
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
     _check_work(params, cfg.samples, work_ceiling)
-    values = _collect_part_values(params, part, cfg, center, workers)
+
+    def batch_values(b: int, size: int) -> list[np.ndarray]:
+        return [
+            _part_arrays((part,), re, im, center)[part]
+            for re, im in _batch_chunks(params, cfg.seed, b, size)
+        ]
+
+    values = np.concatenate(
+        [x for chunks in _map_batches(cfg, workers, batch_values) for x in chunks]
+    )
     sq = values * values
-    if float(np.sqrt(sq.max(initial=0.0))) <= VALUE_GROUPING_TOL:
-        return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
 
     def objective(K: float) -> float:
         with np.errstate(over="ignore"):
             return float(np.mean(np.exp(sq / (K * K))))
 
-    hi = params.N / math.sqrt(math.log(2.0)) + 1.0
-    lo = 1e-6
-    while objective(lo) <= 2.0:
-        lo *= 0.0625
-        if lo < 1e-300:
-            return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if objective(mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
+    bracket = None
+    if float(np.sqrt(sq.max(initial=0.0))) > VALUE_GROUPING_TOL:
+        bracket = _psi2_bisect(objective, params.N, tol)
+    if bracket is None:
+        return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
+    lo, hi = bracket
     root = 0.5 * (lo + hi)
     with np.errstate(over="ignore"):
         at_root = np.exp(sq / (root * root))
@@ -518,49 +446,3 @@ def mc_psi2(
     return Psi2Estimate(
         root, Psi2Definition.ORLICZ_EXP_MOMENT, bracket, bracket[1] - bracket[0]
     )
-
-
-def snapshot(acc: Accumulator) -> dict:
-    """JSON-ready state echo (config, RNG algorithm, every reduction)."""
-
-    def key_str(part: Part, x) -> str:
-        return f"{part.value}:{x!r}"
-
-    return {
-        "rng_algorithm": RNG_ALGORITHM,
-        "params": {"N": acc.params.N, "l": acc.params.l, "m": acc.params.m},
-        "config": {
-            "samples": acc.cfg.samples,
-            "seed": acc.cfg.seed,
-            "batch": acc.cfg.batch,
-            "confidence": acc.cfg.confidence,
-        },
-        "queries": {
-            "parts": [p.value for p in acc.queries.parts],
-            "moment_orders": list(acc.queries.moment_orders),
-            "tail_thresholds": list(acc.queries.tail_thresholds),
-            "exp_scales": list(acc.queries.exp_scales),
-            "modulus_center": acc.queries.modulus_center,
-        },
-        "n": acc.n,
-        "sums": {
-            "re": acc.sum_re,
-            "im": acc.sum_im,
-            "sq_re": acc.sum_sq_re,
-            "sq_im": acc.sum_sq_im,
-            "mod": acc.sum_mod,
-            "sq_mod": acc.sum_sq_mod,
-        },
-        "moment_sums": {
-            key_str(p, k): v for (p, k), v in sorted(acc.moment_sums.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        },
-        "threshold_hits": {
-            key_str(p, t): v for (p, t), v in sorted(acc.threshold_hits.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        },
-        "exp_sums": {
-            key_str(p, K): v for (p, K), v in sorted(acc.exp_sums.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        },
-        "exp_sq_sums": {
-            key_str(p, K): v for (p, K), v in sorted(acc.exp_sq_sums.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        },
-    }

@@ -13,12 +13,14 @@ the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
 Laws live in one cache bounded in bytes (``LAW_CACHE_BYTES``).  Building a
 law measures the smallest gap between distinct outcomes and refuses a law
 whose gap falls inside ``GROUPING_MARGIN`` times the grouping tolerance.
+
+The exp-moment psi2 norm is located by one bisection (``_psi2_bisect``),
+which the Monte Carlo estimator shares with the exact one.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 import threading
 from collections import OrderedDict
@@ -110,29 +112,6 @@ class ExactDistribution:
             raise ParameterDomainError(f"probabilities sum to {total}, not 1 within 1e-12")
         if float(np.abs(self.values).max(initial=0.0)) > self.params.N + VALUE_GROUPING_TOL:
             raise ParameterDomainError("a grouped value exceeds the triangle-inequality bound N")
-
-    @property
-    def atoms(self) -> list[tuple[float | complex, float]]:
-        if self.part is Part.COMPLEX:
-            return [(complex(v), float(p)) for v, p in zip(self.values, self.probs)]
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-
-    def to_json_dict(self) -> dict:
-        if self.part is Part.COMPLEX:
-            atoms = [
-                {"v": [float(v.real), float(v.imag)], "p": float(p)}
-                for v, p in zip(self.values, self.probs)
-            ]
-        else:
-            atoms = [{"v": float(v), "p": float(p)} for v, p in zip(self.values, self.probs)]
-        return {
-            "params": {"N": self.params.N, "l": self.params.l, "m": self.params.m},
-            "part": self.part.value,
-            "atoms": atoms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def weight_table(N: int, m: int) -> np.ndarray:
@@ -485,6 +464,31 @@ def exact_exp_moment(
     return _exp_moment_from_arrays(values, probs, K)
 
 
+def _psi2_bisect(objective, N: int, tol: float) -> tuple[float, float] | None:
+    """Bracket ``(lo, hi)`` with ``hi - lo <= tol`` around the root of
+    ``objective(K) = 2`` for a decreasing exp-moment ``objective`` of a
+    variable bounded by N; ``None`` when the root lies below 1e-300 (the
+    variable is zero for every practical purpose).
+
+    The one psi2 bisection: the exact and the Monte Carlo exp-moment norms
+    both locate their root here.
+    """
+    hi = N / math.sqrt(_LN2) + 1.0
+    lo = 1e-6
+    while objective(lo) <= 2.0:
+        # Root sits below the default lower probe; expand downward.
+        lo *= 0.0625
+        if lo < 1e-300:
+            return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if objective(mid) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def exact_psi2_norm(
     params: ModelParams,
     part: Part,
@@ -502,25 +506,14 @@ def exact_psi2_norm(
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
     values, probs = _dist_arrays(params, part, max_enum_n)
-    if float(np.abs(values).max(initial=0.0)) <= VALUE_GROUPING_TOL:
+    bracket = None
+    if float(np.abs(values).max(initial=0.0)) > VALUE_GROUPING_TOL:
+        bracket = _psi2_bisect(
+            lambda K: _exp_moment_from_arrays(values, probs, K), params.N, tol
+        )
+    if bracket is None:
         return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
-
-    def objective(K: float) -> float:
-        return _exp_moment_from_arrays(values, probs, K)
-
-    hi = params.N / math.sqrt(_LN2) + 1.0
-    lo = 1e-6
-    while objective(lo) <= 2.0:
-        # Root sits below the default lower probe; expand downward.
-        lo *= 0.0625
-        if lo < 1e-300:
-            return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if objective(mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bracket
     return Psi2Estimate(
         0.5 * (lo + hi), Psi2Definition.ORLICZ_EXP_MOMENT, (lo, hi), tol
     )

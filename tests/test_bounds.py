@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_mask import (
-    BoundQuery,
     CrossoverKind,
     HypothesisViolationError,
     McDiarmidCoefficients,
@@ -30,7 +29,6 @@ from spectral_mask import (
     tail_bound_uv,
     variance_formula,
 )
-from spectral_mask.bounds import effective_tail_bound
 
 
 class TestVarianceFormula:
@@ -123,10 +121,6 @@ class TestTailBounds:
         for fn in (lambda: tail_bound_entropy(8, 4, 1.0), lambda: tail_bound_combined(8, 4, 1.0)):
             with pytest.raises(HypothesisViolationError):
                 fn()
-
-    def test_effective_clamp(self):
-        assert effective_tail_bound(3.7) == 2.0
-        assert effective_tail_bound(0.4) == 0.4
 
 
 class TestCrossover:
@@ -319,17 +313,3 @@ class TestBinomialHelpers:
     def test_bad_probability_pair(self):
         with pytest.raises(ParameterDomainError):
             binomial_pmf(5, 7, 6, 2)
-
-
-class TestBoundQuery:
-    def test_valid(self):
-        q = BoundQuery(params=ModelParams(8, 1, 3), t=1.0)
-        assert q.t == 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ParameterDomainError):
-            BoundQuery(t=-1.0)
-        with pytest.raises(ParameterDomainError):
-            BoundQuery(K=0.0)
-        with pytest.raises(ParameterDomainError):
-            BoundQuery(n_order=0)

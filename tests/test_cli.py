@@ -11,10 +11,11 @@ from spectral_mask.cli import (
     TAILS_HEADER,
     GridSpec,
     build_config,
+    _tail_bound_cells,
     load_config,
-    tail_bound_report,
 )
 from spectral_mask.model import ModelParams, Part
+from spectral_mask.oracle import exact_tail
 
 
 def write_config(tmp_path, data):
@@ -71,6 +72,53 @@ class TestMainEntry:
 
     def test_unknown_suite_flag(self, tmp_path, capsys):
         assert cli.main(["verify", "--suites", "nope", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--samples", "-5"],
+            ["--seed", "-1"],
+            ["--max-enum-n", "99"],
+            ["--max-enum-n", "0"],
+            ["--suites", "crossover,nope"],
+            ["--suites", ","],
+        ],
+        ids=[
+            "negative-samples", "negative-seed", "guard-above-cap", "guard-zero",
+            "unknown-suite", "no-suite",
+        ],
+    )
+    def test_bad_flag_rejected(self, tmp_path, capsys, flags):
+        # Flags pass the same schema as the config file they override.
+        path = write_config(
+            tmp_path, {"n_grid": [4], "l_grid": [1], "m_grid": [1], "suites": ["crossover"]}
+        )
+        out = tmp_path / "out"
+        for command in ("verify", "tails", "psi2"):
+            assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 2
+            assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_override_file(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "mc": {"samples": 7, "seed": 1, "batch": 3},
+                "suites": ["moments"],
+                "max_enum_n": 20,
+                "output_dir": str(tmp_path / "elsewhere"),
+            },
+        )
+        argv = [
+            "verify", "--config", path, "--out", str(tmp_path), "--samples", "0",
+            "--seed", "9", "--suites", "crossover,qfunction", "--max-enum-n", "6",
+        ]
+        assert cli.main(argv) == 0
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert config["mc"] == {"samples": 0, "seed": 9, "batch": 3, "confidence": 0.99}
+        assert config["suites"] == ["crossover", "qfunction"]
+        assert config["max_enum_n"] == 6
+        assert config["output_dir"] == str(tmp_path)
 
     def test_unknown_formula_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +279,34 @@ class TestTailsCommand:
             assert r[1] != ""
 
 
+class TestWorkerInvariance:
+    def test_tails_and_psi2_bytes_independent_of_workers(self, tmp_path):
+        # N above the guard: the centering pass and mc_psi2 both run, over
+        # several batches, for two points at once.
+        outputs = {}
+        for workers in (1, 3):
+            path = write_config(
+                tmp_path,
+                {
+                    "n_grid": [6],
+                    "l_grid": [1],
+                    "m_grid": [2, 3],
+                    "parts": ["real", "modulus_centered"],
+                    "mc": {"samples": 6_000, "seed": 4, "batch": 1_000},
+                    "workers": workers,
+                },
+            )
+            out = tmp_path / f"workers{workers}"
+            for command in ("tails", "psi2"):
+                argv = [command, "--config", path, "--out", str(out), "--max-enum-n", "5"]
+                assert cli.main(argv) == 0
+            outputs[workers] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert len(outputs[1]) == 5  # four tails files and psi2.csv
+        assert outputs[1] == outputs[3]
+        _, rows = read_csv(tmp_path / "workers1" / "tails_N6_l1_m2_modulus_centered.csv")
+        assert all(r[1] == "" and r[2] != "" for r in rows)
+
+
 class TestCrossoverCommand:
     def test_named_rows_present(self, tmp_path):
         path = write_config(tmp_path, {"n_grid": [12], "m_grid": [3]})
@@ -329,19 +405,14 @@ class TestScanCommand:
 class TestBoundReport:
     def test_applicable_bounds_and_domination(self):
         params = ModelParams(8, 1, 3)
-        report = tail_bound_report(params, Part.REAL, 1.0, exact=0.5)
-        assert set(report.bounds) == {"thm23_i", "eq9", "eq10", "q_form"}
-        assert report.dominated is not None and all(report.dominated.values())
-        assert report.to_dict()["query"] == {"t": 1.0}
-
-    def test_no_exact_no_flags(self):
-        report = tail_bound_report(ModelParams(8, 1, 3), Part.IMAG, 0.0)
-        assert "thm23_ii" in report.bounds
-        assert "q_form" not in report.bounds
-        assert report.dominated is None
-
-    def test_effective_clamp(self):
-        report = tail_bound_report(ModelParams(8, 1, 3), Part.REAL, 0.0)
-        assert report.bounds["thm23_i"] == 2.0
-        assert report.effective_bounds()["thm23_i"] == 2.0
-        assert report.effective_bounds()["eq9"] == 1.0
+        cells = _tail_bound_cells(params, Part.REAL, 1.0)  # thm23, eq9, eq10, q_form
+        assert None not in cells
+        assert all(exact_tail(params, Part.REAL, 1.0) <= c for c in cells)
+        assert _tail_bound_cells(params, Part.IMAG, 0.0)[0] == 2.0
+        assert _tail_bound_cells(params, Part.IMAG, 0.0)[3] is None  # q_form needs t > 0
+        assert _tail_bound_cells(params, Part.MODULUS_CENTERED, 1.0) == [
+            bounds.tail_bound_mod(8, 1.0), None, None, None
+        ]
+        assert _tail_bound_cells(params, Part.MODULUS, 1.0) == [None] * 4
+        assert _tail_bound_cells(ModelParams(8, 4, 3), Part.REAL, 1.0) == [None] * 4
+        assert _tail_bound_cells(ModelParams(8, 1, 4), Part.REAL, 1.0)[1:3] == [None, None]

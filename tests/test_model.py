@@ -6,32 +6,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectral_mask import (
-    FormKind,
-    ModelParams,
-    ParameterDomainError,
-    Part,
-    SupportMask,
-    dft_atom,
-    evaluate,
-    sample_mask,
-    special_form,
-    trig_sums,
-)
+from scalar_reference import dft_atom, evaluate, trig_sums
+from spectral_mask import ModelParams, ParameterDomainError, Part
+from spectral_mask.model import _inclusion_threshold, atom_table
+from spectral_mask.montecarlo import _draw_masks
 
 
 def mask(*indices):
-    return SupportMask(frozenset(indices))
+    return frozenset(indices)
 
 
 class TestModelParams:
     def test_valid(self):
         p = ModelParams(8, 3, 5)
-        assert p.p == Fraction(5, 8)
-        assert not p.is_dc and not p.is_degenerate_2l
+        assert (p.N, p.l, p.m) == (8, 3, 5)
+        assert not p.is_degenerate_2l
 
     def test_flags(self):
-        assert ModelParams(8, 0, 1).is_dc
+        assert not ModelParams(8, 0, 1).is_degenerate_2l
         assert ModelParams(8, 4, 1).is_degenerate_2l
 
     @pytest.mark.parametrize(
@@ -47,28 +39,12 @@ class TestModelParams:
             ModelParams(8.0, 1, 3)
 
     def test_p_is_exact(self):
-        # 1/3 is not representable in binary floating point; the Fraction is.
-        assert ModelParams(3, 1, 1).p == Fraction(1, 3)
-
-
-class TestSupportMask:
-    def test_word_roundtrip_small(self):
-        m = mask(1, 3, 8)
-        assert m.word == 0b10000101
-        assert SupportMask.from_word(m.word) == m
-
-    @given(st.integers(min_value=0, max_value=2**24 - 1))
-    def test_word_roundtrip(self, word):
-        assert SupportMask.from_word(word).word == word
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ParameterDomainError):
-            mask(0)
-        with pytest.raises(ParameterDomainError):
-            mask(-1)
-
-    def test_iteration_sorted(self):
-        assert list(mask(5, 2, 9)) == [2, 5, 9]
+        # 1/3 is not representable in binary floating point; the inclusion
+        # threshold u < ceil(2^64 m / N) on a uniform 64-bit u is exact.
+        params = ModelParams(3, 1, 1)
+        threshold = _inclusion_threshold(params.m, params.N)
+        assert threshold == math.ceil(Fraction(params.m * 2**64, params.N))
+        assert 0 <= Fraction(threshold, 2**64) - Fraction(1, 3) < Fraction(1, 2**64)
 
 
 class TestDftAtom:
@@ -106,6 +82,15 @@ class TestDftAtom:
     def test_domain_errors(self, n, l, N):
         with pytest.raises(ParameterDomainError):
             dft_atom(n, l, N)
+
+    def test_matches_atom_table(self):
+        # The vectorised table the oracle and the Monte Carlo engine read
+        # agrees with the scalar reference atom by atom.
+        for N in range(1, 33):
+            for l in range(N):
+                table = atom_table(N, l)
+                for n in range(1, N + 1):
+                    assert abs(table[n - 1] - dft_atom(n, l, N)) <= 1e-15
 
 
 class TestEvaluate:
@@ -155,10 +140,8 @@ class TestEvaluate:
         N, l, a, b = case
         b = b - a
         params = ModelParams(N, l, 1)
-        total = evaluate(SupportMask(frozenset(a | b)), params, Part.COMPLEX)
-        split = evaluate(SupportMask(frozenset(a)), params, Part.COMPLEX) + evaluate(
-            SupportMask(frozenset(b)), params, Part.COMPLEX
-        )
+        total = evaluate(a | b, params, Part.COMPLEX)
+        split = evaluate(a, params, Part.COMPLEX) + evaluate(b, params, Part.COMPLEX)
         assert abs(total - split) <= 1e-12 * N
 
     @given(
@@ -172,9 +155,8 @@ class TestEvaluate:
     )
     def test_conjugate_symmetry(self, case):
         N, l, indices = case
-        m = SupportMask(frozenset(indices))
-        z_l = evaluate(m, ModelParams(N, l, 1), Part.COMPLEX)
-        z_refl = evaluate(m, ModelParams(N, N - l, 1), Part.COMPLEX)
+        z_l = evaluate(indices, ModelParams(N, l, 1), Part.COMPLEX)
+        z_refl = evaluate(indices, ModelParams(N, N - l, 1), Part.COMPLEX)
         assert abs(z_l - z_refl.conjugate()) <= 1e-12 * N
 
 
@@ -197,48 +179,26 @@ class TestTrigSums:
 
 
 class TestSampleMask:
+    """The Bernoulli mask draw of the Monte Carlo engine."""
+
     def test_full_inclusion(self):
         rng = np.random.default_rng(0)
-        assert sample_mask(ModelParams(10, 1, 10), rng) == mask(*range(1, 11))
+        assert (_draw_masks(ModelParams(10, 1, 10), rng, 5) == 1.0).all()
 
     def test_single_certain_trial(self):
         rng = np.random.default_rng(0)
-        assert sample_mask(ModelParams(1, 0, 1), rng) == mask(1)
+        assert _draw_masks(ModelParams(1, 0, 1), rng, 1).tolist() == [[1.0]]
 
     def test_inclusion_frequencies_within_six_sigma(self):
         params = ModelParams(10, 3, 3)
         draws = 20_000
         rng = np.random.default_rng(1234)
-        counts = np.zeros(params.N)
-        sizes = 0
-        for _ in range(draws):
-            s = sample_mask(params, rng)
-            sizes += len(s)
-            for n in s.indices:
-                counts[n - 1] += 1
+        masks = _draw_masks(params, rng, draws)
+        assert set(np.unique(masks)) <= {0.0, 1.0}
         p = params.m / params.N
         sigma = math.sqrt(p * (1 - p) / draws)
-        freqs = counts / draws
+        freqs = masks.mean(axis=0)
         assert np.all(np.abs(freqs - p) <= 6 * sigma)
         # Expected support size is m.
         size_sigma = math.sqrt(params.N * p * (1 - p) / draws)
-        assert abs(sizes / draws - params.m) <= 6 * size_sigma
-
-
-class TestSpecialForm:
-    def test_binomial(self):
-        form = special_form(ModelParams(8, 0, 3))
-        assert form.kind is FormKind.BINOMIAL
-        assert form.trials == 8
-        assert form.p == Fraction(3, 8)
-
-    def test_difference(self):
-        form = special_form(ModelParams(8, 4, 3))
-        assert form.kind is FormKind.DIFFERENCE_OF_BINOMIALS
-        assert form.trials == 4
-        assert form.p == Fraction(3, 8)
-
-    def test_generic(self):
-        form = special_form(ModelParams(8, 1, 3))
-        assert form.kind is FormKind.GENERIC
-        assert form.trials is None
+        assert abs(masks.sum() / draws - params.m) <= 6 * size_sigma

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,12 +12,9 @@ from spectral_mask import (
     ParameterDomainError,
     Part,
     QueryError,
-    RNG_ALGORITHM,
     enumerate_distribution,
-    exact_exp_moment,
     exact_moment,
     exact_tail,
-    mc_exp_moment,
     mc_moment,
     mc_psi2,
     mc_run,
@@ -26,14 +22,14 @@ from spectral_mask import (
     merge,
     merge_tree,
     psi2_sup_upper,
-    snapshot,
 )
+from spectral_mask.montecarlo import _batch_part_values, _substream, _z_value
 
 PARAMS = ModelParams(8, 1, 4)
 
 
 def run(samples=50_000, seed=7, batch=8_192, queries=None, **kwargs):
-    queries = queries or McQueries(tail_thresholds=(0.0, 1.0, 9.0), exp_scales=(2.0,))
+    queries = queries or McQueries(tail_thresholds=(0.0, 1.0, 9.0))
     return mc_run(PARAMS, queries, McConfig(samples=samples, seed=seed, batch=batch), **kwargs)
 
 
@@ -65,8 +61,6 @@ class TestConfigValidation:
         with pytest.raises(ParameterDomainError):
             McQueries(tail_thresholds=(-1.0,))
         with pytest.raises(ParameterDomainError):
-            McQueries(exp_scales=(0.0,))
-        with pytest.raises(ParameterDomainError):
             McQueries(moment_orders=(0,))
 
     def test_centered_part_needs_center(self):
@@ -86,19 +80,12 @@ class TestReproducibility:
     def test_seed_sensitivity(self):
         assert run(seed=7) != run(seed=8)
 
-    def test_snapshot_json_round_trip(self):
-        acc = run(samples=2_000, batch=512)
-        snap = snapshot(acc)
-        assert snap["rng_algorithm"] == RNG_ALGORITHM
-        assert snap["config"]["samples"] == 2_000
-        assert json.loads(json.dumps(snap)) == snap
-
 
 class TestMergeAlgebra:
     def test_merge_matches_single_pass(self):
         # Same stream split into batches must agree with one huge batch to
         # 1e-10 relative on every reduction.
-        queries = McQueries(tail_thresholds=(1.0,), exp_scales=(3.0,))
+        queries = McQueries(tail_thresholds=(1.0,))
         single = mc_run(PARAMS, queries, McConfig(samples=40_000, seed=3, batch=40_000))
         split = mc_run(PARAMS, queries, McConfig(samples=40_000, seed=3, batch=40_000))
         assert single == split  # same batching -> identical
@@ -125,14 +112,15 @@ class TestMergeAlgebra:
         total = merge_tree(accs)
         left_fold = merge(merge(accs[0], accs[1]), accs[2])
         assert total.n == left_fold.n == 30_000
-        assert total.sum_sq_re == pytest.approx(left_fold.sum_sq_re, rel=1e-10)
+        key = (Part.REAL, 2)
+        assert total.power_sums[key] == pytest.approx(left_fold.power_sums[key], rel=1e-10)
         assert total.threshold_hits == left_fold.threshold_hits
 
     def test_merge_rejects_mismatched_runs(self):
         a = run(samples=1_000, batch=1_000)
         b = mc_run(
             ModelParams(8, 2, 4),
-            McQueries(tail_thresholds=(0.0, 1.0, 9.0), exp_scales=(2.0,)),
+            McQueries(tail_thresholds=(0.0, 1.0, 9.0)),
             McConfig(samples=1_000, seed=7, batch=1_000),
         )
         with pytest.raises(ParameterDomainError):
@@ -180,13 +168,6 @@ class TestEstimates:
         with pytest.raises(QueryError):
             mc_moment(acc, Part.REAL, 7)
 
-    def test_exp_moment_matches_oracle(self):
-        acc = run(samples=200_000)
-        est = mc_exp_moment(acc, Part.REAL, 2.0)
-        assert est.covers(exact_exp_moment(PARAMS, Part.REAL, 2.0))
-        with pytest.raises(QueryError):
-            mc_exp_moment(acc, Part.REAL, 5.0)
-
     def test_deterministic_full_mask(self):
         params = ModelParams(6, 1, 6)
         acc = mc_run(
@@ -195,7 +176,7 @@ class TestEstimates:
             McConfig(samples=10_000, seed=1, batch=10_000),
         )
         assert mc_tail(acc, Part.REAL, 0.5).estimate == 0.0
-        assert acc.sum_sq_re <= 1e-20
+        assert acc.power_sums[(Part.REAL, 2)] <= 1e-20
 
     def test_modulus_centered_tail(self):
         params = ModelParams(6, 1, 3)
@@ -209,6 +190,40 @@ class TestEstimates:
         acc = mc_run(params, queries, McConfig(samples=200_000, seed=9, batch=65_536))
         est = mc_tail(acc, Part.MODULUS_CENTERED, 1.0)
         assert est.covers(exact_tail(params, Part.MODULUS_CENTERED, 1.0))
+
+
+class TestPowerSums:
+    def test_moments_equal_direct_reductions(self):
+        params = ModelParams(8, 3, 3)
+        parts = (Part.IMAG, Part.MODULUS_CENTERED)
+        queries = McQueries(parts=parts, moment_orders=(3,), modulus_center=1.25)
+        # One batch of one chunk, so each sum is a single reduction.
+        cfg = McConfig(samples=5_000, seed=17, batch=5_000)
+        acc = mc_run(params, queries, cfg)
+        assert set(acc.power_sums) == {(p, k) for p in parts for k in (1, 2, 3, 4, 6)}
+        re, im = _batch_part_values(params, _substream(cfg.seed, 0), cfg.samples)
+        samples = {Part.IMAG: im, Part.MODULUS_CENTERED: np.hypot(re, im) - 1.25}
+        z = _z_value(cfg.confidence)
+        for part, x in samples.items():
+            direct = {1: float(x.sum()), 2: float(np.dot(x, x))}
+            direct.update({k: float(np.sum(x**k)) for k in (3, 4, 6)})
+            for k in (1, 2, 3):
+                est = mc_moment(acc, part, k)
+                mean = direct[k] / x.size
+                half = z * math.sqrt(max(direct[2 * k] / x.size - mean * mean, 0.0) / x.size)
+                assert (est.estimate, est.half_width, est.n) == (mean, half, x.size)
+
+    def test_unregistered_part(self):
+        acc = mc_run(
+            PARAMS,
+            McQueries(parts=(Part.IMAG,), tail_thresholds=(1.0,)),
+            McConfig(samples=1_000, seed=3),
+        )
+        for part in (Part.REAL, Part.MODULUS, Part.MODULUS_CENTERED):
+            with pytest.raises(QueryError):
+                mc_moment(acc, part, 1)
+            with pytest.raises(QueryError):
+                mc_tail(acc, part, 1.0)
 
 
 class TestWorkCeiling:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import sys
 import threading
@@ -23,10 +22,8 @@ from spectral_mask import (
     ParameterDomainError,
     Part,
     Psi2Definition,
-    SupportMask,
     binomial_pmf,
     enumerate_distribution,
-    evaluate,
     exact_exp_moment,
     exact_moment,
     exact_psi2_moment_norm,
@@ -36,6 +33,7 @@ from spectral_mask import (
     psi2_upper,
     weight_table,
 )
+from scalar_reference import evaluate
 from spectral_mask.model import VALUE_GROUPING_TOL, atom_table
 
 
@@ -46,7 +44,7 @@ def brute_force_law(params, part):
     p = Fraction(params.m, params.N)
     for bits in itertools.product((0, 1), repeat=params.N):
         indices = frozenset(n for n, b in enumerate(bits, start=1) if b)
-        value = evaluate(SupportMask(indices), params, part)
+        value = evaluate(indices, params, part)
         weight = p ** len(indices) * (1 - p) ** (params.N - len(indices))
         if part is Part.COMPLEX:
             key = (round(value.real, 7), round(value.imag, 7))
@@ -168,15 +166,6 @@ class TestEnumerateDistribution:
             enumerate_distribution(ModelParams(20, 1, 1), Part.REAL, max_enum_n=16)
         with pytest.raises(ParameterDomainError):
             enumerate_distribution(ModelParams(4, 1, 1), Part.REAL, max_enum_n=27)
-
-    def test_json_serialization(self):
-        params = ModelParams(3, 1, 2)
-        payload = json.loads(enumerate_distribution(params, Part.REAL).to_json())
-        assert payload["params"] == {"N": 3, "l": 1, "m": 2}
-        assert payload["part"] == "real"
-        assert {"v", "p"} == set(payload["atoms"][0])
-        complex_payload = enumerate_distribution(params, Part.COMPLEX).to_json_dict()
-        assert isinstance(complex_payload["atoms"][0]["v"], list)
 
     def test_weight_table_matches_fractions(self):
         for N in range(1, HARD_ENUM_CAP + 1):

@@ -1,0 +1,62 @@
+import dataclasses
+import inspect
+
+import pytest
+
+import spectral_mask
+from spectral_mask import bounds, cli, model, montecarlo, oracle
+
+# Names that left the package because no command used them; the scalar
+# evaluator and the trigonometric sums live on in tests/scalar_reference.py.
+REMOVED = {
+    bounds: ("BoundQuery", "effective_tail_bound"),
+    model: (
+        "SupportMask", "sample_mask", "special_form", "FormKind", "SpecialForm",
+        "dft_atom", "evaluate", "trig_sums", "_kahan_sum",
+    ),
+    montecarlo: ("mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum"),
+    cli: ("BoundReport", "tail_bound_report"),
+}
+REMOVED_ATTRIBUTES = {
+    model.ModelParams: ("p", "is_dc"),
+    oracle.ExactDistribution: ("atoms", "to_json", "to_json_dict"),
+}
+REMOVED_FIELDS = {
+    montecarlo.McQueries: ("exp_scales",),
+    montecarlo.Accumulator: (
+        "sum_re", "sum_im", "sum_sq_re", "sum_sq_im", "sum_mod", "sum_sq_mod",
+        "moment_sums", "exp_sums", "exp_sq_sums",
+    ),
+}
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from spectral_mask import *", namespace)
+    assert set(spectral_mask.__all__) <= set(namespace)
+
+
+def test_all_matches_the_import_block():
+    assert len(spectral_mask.__all__) == len(set(spectral_mask.__all__))
+    imported = {
+        name
+        for name, value in vars(spectral_mask).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert imported == set(spectral_mask.__all__)
+
+
+@pytest.mark.parametrize("module", list(REMOVED), ids=lambda m: m.__name__)
+def test_removed_names_are_gone(module):
+    for name in REMOVED[module]:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert name not in spectral_mask.__all__
+
+
+def test_removed_attributes_are_gone():
+    for cls, names in REMOVED_ATTRIBUTES.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    for cls, names in REMOVED_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert fields.isdisjoint(names), cls.__name__
