@@ -13,6 +13,7 @@ output files; workers only change wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.metadata
 import importlib.resources
 import json
@@ -20,7 +21,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .montecarlo import (
     Accumulator,
     McConfig,
     McQueries,
+    _map_ordered,
     _splitmix64,
     mc_moment,
     mc_psi2,
@@ -162,9 +163,21 @@ def _grid_dict(grid: GridSpec) -> dict:
     return out
 
 
-def _load_schema(name: str) -> dict:
+@functools.cache
+def _schema_validator(name: str):
+    """A validator for the shipped schema ``name``; the tests check the
+    schemas themselves against their metaschema."""
     ref = importlib.resources.files("spectral_mask") / "schemas" / name
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate(data, name: str) -> None:
+    """Raise the error jsonschema's ``validate`` would raise for ``data``,
+    without checking the schema again."""
+    error = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(data))
+    if error is not None:
+        raise error
 
 
 def _apply_flags(data: dict, args: argparse.Namespace) -> dict:
@@ -192,7 +205,7 @@ def load_config(path: str | None, args: argparse.Namespace | None = None) -> dic
         data = json.loads(Path(path).read_text())
     if args is not None and isinstance(data, dict):
         data = _apply_flags(data, args)
-    jsonschema.validate(data, _load_schema("config.schema.json"))
+    _validate(data, "config.schema.json")
     return data
 
 
@@ -259,13 +272,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _map_points(items, fn, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float | None]:
     """The thm23, eq9, eq10 and q_form cells of one tails row: each bound
     whose hypotheses hold at (params, part, t), else ``None``."""
@@ -283,7 +289,7 @@ def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float |
     return [thm23, eq9, eq10, q_form]
 
 
-def _modulus_center(params: ModelParams, cfg: RunConfig, workers: int) -> float:
+def _modulus_center(params: ModelParams, cfg: RunConfig) -> float:
     """Center for modulus_centered queries: exact when enumerable, otherwise a
     dedicated estimation pass on a seed derived from the main seed."""
     if params.N <= cfg.max_enum_n:
@@ -297,13 +303,11 @@ def _modulus_center(params: ModelParams, cfg: RunConfig, workers: int) -> float:
         batch=cfg.mc_batch,
         confidence=cfg.mc_confidence,
     )
-    acc = mc_run(params, McQueries(parts=(Part.MODULUS,)), pre, workers=workers)
+    acc = mc_run(params, McQueries(parts=(Part.MODULUS,), moment_orders=(1,)), pre)
     return mc_moment(acc, Part.MODULUS, 1).estimate
 
 
-def _tails_point(
-    params: ModelParams, cfg: RunConfig, workers: int
-) -> list[tuple[str, list[list[str]]]]:
+def _tails_point(params: ModelParams, cfg: RunConfig) -> list[tuple[str, list[list[str]]]]:
     ts = cfg.t_grid.resolve(params.N)
     exact_curves: dict[Part, np.ndarray] = {}
     if params.N <= cfg.max_enum_n:
@@ -316,13 +320,13 @@ def _tails_point(
     if mc_cfg is not None:
         center = None
         if Part.MODULUS_CENTERED in cfg.parts:
-            center = _modulus_center(params, cfg, workers)
+            center = _modulus_center(params, cfg)
         queries = McQueries(
             parts=cfg.parts,
             tail_thresholds=tuple(float(t) for t in ts),
             modulus_center=center,
         )
-        acc = mc_run(params, queries, mc_cfg, workers=workers, work_ceiling=None)
+        acc = mc_run(params, queries, mc_cfg)
     files = []
     for part in cfg.parts:
         rows = []
@@ -348,7 +352,7 @@ def cmd_tails(cfg: RunConfig) -> int:
     workers = _effective_workers(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     points = cfg.iter_params()
-    results = _map_points(points, lambda p: _tails_point(p, cfg, 1), workers)
+    results = _map_ordered(lambda p: _tails_point(p, cfg), points, workers)
     for files in results:
         for name, rows in files:
             path = cfg.output_dir / name
@@ -389,7 +393,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return 0
 
 
-def _psi2_point(params: ModelParams, cfg: RunConfig, workers: int) -> list[list[str]]:
+def _psi2_point(params: ModelParams, cfg: RunConfig) -> list[list[str]]:
     rows = []
     mc_cfg = cfg.mc_config()
     for part in cfg.parts:
@@ -405,11 +409,8 @@ def _psi2_point(params: ModelParams, cfg: RunConfig, workers: int) -> list[list[
         mc_norm = None
         if mc_cfg is not None:
             if part is Part.MODULUS_CENTERED:
-                center = _modulus_center(params, cfg, workers)
-            mc_norm = mc_psi2(
-                params, part, mc_cfg, 1e-6, center=center,
-                workers=workers, work_ceiling=None,
-            ).norm
+                center = _modulus_center(params, cfg)
+            mc_norm = mc_psi2(params, part, mc_cfg, 1e-6, center=center).norm
         rows.append(
             [
                 str(params.N),
@@ -430,7 +431,7 @@ def cmd_psi2(cfg: RunConfig) -> int:
     workers = _effective_workers(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     points = cfg.iter_params()
-    results = _map_points(points, lambda p: _psi2_point(p, cfg, 1), workers)
+    results = _map_ordered(lambda p: _psi2_point(p, cfg), points, workers)
     rows = [row for point_rows in results for row in point_rows]
     path = cfg.output_dir / "psi2.csv"
     _write_csv(path, PSI2_HEADER, rows)
@@ -547,7 +548,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "config": cfg.to_dict(),
         "suites": {name: r.to_dict() for name, r in results.items()},
     }
-    jsonschema.validate(summary, _load_schema("summary.schema.json"))
+    _validate(summary, "summary.schema.json")
     path = cfg.output_dir / "summary.json"
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(path)

@@ -15,7 +15,7 @@ class HypothesisViolationError(SpectralMaskError, ValueError):
 
 
 class CapabilityError(SpectralMaskError, RuntimeError):
-    """The request exceeds a resource guard (enumeration size, work ceiling)."""
+    """The request exceeds a resource guard (enumeration size)."""
 
 
 class QueryError(SpectralMaskError, LookupError):

@@ -8,10 +8,12 @@ tree by batch index.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
-(part, threshold), both over the registered parts only.  Asking for an
-unregistered part, order or threshold afterwards raises ``QueryError``
-instead of silently re-running.  ``mc_run`` and ``mc_psi2`` draw through the
-same batch loop, so both see the same samples for the same config.
+(part, threshold), both over the registered parts only.  Each registered
+moment order k tracks the power sums of orders k and 2k; no other order is
+computed.  Asking for an unregistered part, order or threshold afterwards
+raises ``QueryError`` instead of silently re-running.  ``mc_run`` and
+``mc_psi2`` draw through the same batch loop, so both see the same samples
+for the same config.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterDomainError, QueryError
+from .errors import ParameterDomainError, QueryError
 from .model import (
     REAL_VALUED_PARTS,
     VALUE_GROUPING_TOL,
@@ -37,9 +39,6 @@ from .oracle import Psi2Definition, Psi2Estimate, _psi2_bisect
 
 #: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
-
-#: Default ceiling on samples * N for one run.
-DEFAULT_WORK_CEILING = 1 << 33
 
 _MASK64 = (1 << 64) - 1
 # Elements (samples x N) generated per internal chunk; a fixed function of N
@@ -151,12 +150,8 @@ class EstimateWithCI:
 
 
 def _tracked_orders(queries: McQueries) -> tuple[int, ...]:
-    # Orders 1 and 2 back the always-available mean and second moment, 4 the
-    # CI of the second; each registered order k also needs 2k for its CI.
-    orders = {1, 2, 4}
-    for k in queries.moment_orders:
-        orders.update((k, 2 * k))
-    return tuple(sorted(orders))
+    # Each registered order k also needs 2k for its CI.
+    return tuple(sorted({j for k in queries.moment_orders for j in (k, 2 * k)}))
 
 
 @dataclass
@@ -272,20 +267,13 @@ def merge_tree(accs: list[Accumulator]) -> Accumulator:
     return layer[0]
 
 
-def _batch_sizes(cfg: McConfig) -> list[int]:
+def _batches(cfg: McConfig) -> list[tuple[int, int]]:
+    """(index, size) of every batch of ``cfg``, in order."""
     full, rem = divmod(cfg.samples, cfg.batch)
     sizes = [cfg.batch] * full
     if rem:
         sizes.append(rem)
-    return sizes
-
-
-def _check_work(params: ModelParams, samples: int, work_ceiling: int | None) -> None:
-    if work_ceiling is not None and params.N * samples > work_ceiling:
-        raise CapabilityError(
-            f"samples*N = {params.N * samples} exceeds the work ceiling {work_ceiling}; "
-            "raise work_ceiling explicitly to proceed"
-        )
+    return list(enumerate(sizes))
 
 
 def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
@@ -299,14 +287,13 @@ def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
         done += rows
 
 
-def _map_batches(cfg: McConfig, workers: int, fn) -> list:
-    """``fn(b, size)`` for every batch b of ``cfg``, returned in batch order
-    whichever of up to ``workers`` threads ran it."""
-    items = list(enumerate(_batch_sizes(cfg)))
-    if workers == 1 or len(items) == 1:
-        return [fn(b, size) for b, size in items]
+def _map_ordered(fn, items: list, workers: int) -> list:
+    """``fn(item)`` for every item, returned in item order whichever of up to
+    ``workers`` threads ran it."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda item: fn(*item), items))
+        return list(pool.map(fn, items))
 
 
 def _run_batch(
@@ -324,7 +311,6 @@ def mc_run(
     cfg: McConfig,
     *,
     workers: int = 1,
-    work_ceiling: int | None = DEFAULT_WORK_CEILING,
 ) -> Accumulator:
     """Single streaming pass over cfg.samples masks filling every registered
     reduction.
@@ -335,10 +321,9 @@ def mc_run(
     """
     if not isinstance(workers, int) or workers < 1:
         raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
-    _check_work(params, cfg.samples, work_ceiling)
     return merge_tree(
-        _map_batches(
-            cfg, workers, lambda b, size: _run_batch(params, queries, cfg, b, size)
+        _map_ordered(
+            lambda item: _run_batch(params, queries, cfg, *item), _batches(cfg), workers
         )
     )
 
@@ -360,8 +345,7 @@ def mc_moment(acc: Accumulator, part: Part, order: int) -> EstimateWithCI:
     """Sample moment E[X^order] with a normal-approximation CI.
 
     The half-width uses the sample variance of X^order, so the doubled order
-    must have been tracked; orders 1 and 2 of every registered part always
-    are.
+    must have been tracked: ``order`` must be in the run's ``moment_orders``.
     """
     s_k, s_2k = _power_sums(acc, part, order)
     n = acc.n
@@ -397,14 +381,14 @@ def mc_psi2(
     *,
     center: float | None = None,
     workers: int = 1,
-    work_ceiling: int | None = DEFAULT_WORK_CEILING,
 ) -> Psi2Estimate:
     """Empirical exp-moment psi2 norm over one fixed, reusable sample set.
 
     The same draws back every K probe (common random numbers), so the
     bisection sees a monotone objective.  The returned bracket is widened by
     the objective's sampling noise at the root through its local slope; it is
-    a diagnostic, not a certified enclosure.
+    a diagnostic, not a certified enclosure.  Only the squared samples are
+    kept, plus one buffer every probe reuses.
     """
     if part not in REAL_VALUED_PARTS:
         raise ParameterDomainError(f"mc_psi2 needs a real-valued part, got {part!r}")
@@ -412,22 +396,28 @@ def mc_psi2(
         raise ParameterDomainError("centered-modulus psi2 needs an explicit center")
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
-    _check_work(params, cfg.samples, work_ceiling)
 
-    def batch_values(b: int, size: int) -> list[np.ndarray]:
-        return [
-            _part_arrays((part,), re, im, center)[part]
-            for re, im in _batch_chunks(params, cfg.seed, b, size)
-        ]
+    sq = np.empty(cfg.samples)
 
-    values = np.concatenate(
-        [x for chunks in _map_batches(cfg, workers, batch_values) for x in chunks]
-    )
-    sq = values * values
+    def fill_batch(item: tuple[int, int]) -> None:
+        b, size = item
+        at = b * cfg.batch
+        for re, im in _batch_chunks(params, cfg.seed, b, size):
+            x = _part_arrays((part,), re, im, center)[part]
+            np.multiply(x, x, out=sq[at : at + x.size])
+            at += x.size
+
+    _map_ordered(fill_batch, _batches(cfg), workers)
+    buf = np.empty_like(sq)
+
+    def exp_scaled(K: float) -> np.ndarray:
+        """exp(sq / K^2), written into ``buf``."""
+        with np.errstate(over="ignore"):
+            np.divide(sq, K * K, out=buf)
+            return np.exp(buf, out=buf)
 
     def objective(K: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(sq / (K * K))))
+        return float(np.mean(exp_scaled(K)))
 
     bracket = None
     if float(np.sqrt(sq.max(initial=0.0))) > VALUE_GROUPING_TOL:
@@ -436,9 +426,8 @@ def mc_psi2(
         return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
     lo, hi = bracket
     root = 0.5 * (lo + hi)
-    with np.errstate(over="ignore"):
-        at_root = np.exp(sq / (root * root))
-    se = float(at_root.std()) / math.sqrt(at_root.size)
+    # Read the noise at the root before the slope probes overwrite buf.
+    se = float(exp_scaled(root).std()) / math.sqrt(sq.size)
     h = max(1e-6, 1e-3 * root)
     slope = abs(objective(root + h) - objective(root - h)) / (2.0 * h)
     widen = se / max(slope, 1e-300)

@@ -428,7 +428,7 @@ def suite_montecarlo(
     res = SuiteResult("montecarlo")
     params = ModelParams(12, 5, 4)
     cfg = McConfig(samples=samples, seed=seed, batch=batch)
-    queries = McQueries(parts=(Part.REAL,), tail_thresholds=(1.0,))
+    queries = McQueries(parts=(Part.REAL,), moment_orders=(2,), tail_thresholds=(1.0,))
     acc = mc_run(params, queries, cfg, workers=1)
     acc_again = mc_run(params, queries, cfg, workers=1)
     acc_many = mc_run(params, queries, cfg, workers=workers_many)

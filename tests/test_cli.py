@@ -29,6 +29,11 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def shipped_schema(name):
+    ref = cli.importlib.resources.files("spectral_mask") / "schemas" / name
+    return json.loads(ref.read_text())
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = build_config({})
@@ -42,9 +47,18 @@ class TestConfig:
             load_config(path)
 
     def test_rejects_bad_types(self, tmp_path):
-        path = write_config(tmp_path, {"n_grid": ["three"]})
-        with pytest.raises(jsonschema.ValidationError):
+        data = {"n_grid": ["three"], "mc": {"samples": -1}}
+        path = write_config(tmp_path, data)
+        with pytest.raises(jsonschema.ValidationError) as raised:
             load_config(path)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(data, shipped_schema("config.schema.json"))
+        assert str(raised.value) == str(reference.value)
+
+    @pytest.mark.parametrize("name", ["config.schema.json", "summary.schema.json"])
+    def test_shipped_schema_is_valid(self, name):
+        schema = shipped_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_grid_resolution(self):
         grid = GridSpec(spacing="sqrt-n-scaled", min=0.0, max=2.0, points=50)
@@ -153,10 +167,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "suite crossover: PASS" in out
         summary = json.loads((tmp_path / "summary.json").read_text())
-        schema = json.loads(
-            (cli.importlib.resources.files("spectral_mask") / "schemas" / "summary.schema.json").read_text()
-        )
-        jsonschema.validate(summary, schema)
+        jsonschema.validate(summary, shipped_schema("summary.schema.json"))
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
         assert summary["environment"]["law_algorithm"] == "atom-convolution-v1"
@@ -305,6 +316,37 @@ class TestWorkerInvariance:
         assert outputs[1] == outputs[3]
         _, rows = read_csv(tmp_path / "workers1" / "tails_N6_l1_m2_modulus_centered.csv")
         assert all(r[1] == "" and r[2] != "" for r in rows)
+
+
+class TestRegistration:
+    def test_tails_passes_register_only_what_they_read(self, tmp_path, monkeypatch):
+        # N above the guard: the centering pass reads the mean modulus, the
+        # main pass reads tail hits only.
+        runs = []
+        real_mc_run = cli.mc_run
+
+        def spy(params, queries, cfg, **kwargs):
+            acc = real_mc_run(params, queries, cfg, **kwargs)
+            runs.append((queries.parts, set(acc.power_sums)))
+            return acc
+
+        monkeypatch.setattr(cli, "mc_run", spy)
+        path = write_config(
+            tmp_path,
+            {
+                "n_grid": [6],
+                "l_grid": [1],
+                "m_grid": [2],
+                "parts": ["real", "modulus_centered"],
+                "mc": {"samples": 2_000, "seed": 3},
+            },
+        )
+        argv = ["tails", "--config", path, "--out", str(tmp_path), "--max-enum-n", "5"]
+        assert cli.main(argv) == 0
+        assert runs == [
+            ((Part.MODULUS,), {(Part.MODULUS, 1), (Part.MODULUS, 2)}),
+            ((Part.REAL, Part.MODULUS_CENTERED), set()),
+        ]
 
 
 class TestCrossoverCommand:

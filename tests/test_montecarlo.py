@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spectral_mask import (
-    CapabilityError,
     CIMethod,
     McConfig,
     McQueries,
@@ -23,7 +23,15 @@ from spectral_mask import (
     merge_tree,
     psi2_sup_upper,
 )
-from spectral_mask.montecarlo import _batch_part_values, _substream, _z_value
+from spectral_mask.montecarlo import (
+    _CHUNK_ELEMENTS,
+    Accumulator,
+    _batch_part_values,
+    _batches,
+    _substream,
+    _z_value,
+)
+from spectral_mask.oracle import _psi2_bisect
 
 PARAMS = ModelParams(8, 1, 4)
 
@@ -98,13 +106,13 @@ class TestMergeAlgebra:
         assert merged == single
 
     def test_merge_commutative_and_tolerant(self):
-        queries = McQueries(tail_thresholds=(1.0,))
+        queries = McQueries(moment_orders=(2,), tail_thresholds=(1.0,))
         cfg = McConfig(samples=30_000, seed=11, batch=10_000)
-        from spectral_mask.montecarlo import _run_batch, _batch_sizes
+        from spectral_mask.montecarlo import _run_batch
 
         accs = [
             _run_batch(PARAMS, queries, cfg, b, size)
-            for b, size in enumerate(_batch_sizes(cfg))
+            for b, size in _batches(cfg)
         ]
         ab = merge(accs[0], accs[1])
         ba = merge(accs[1], accs[0])
@@ -150,7 +158,7 @@ class TestEstimates:
         assert est.covers(exact_tail(PARAMS, Part.REAL, 1.0))
 
     def test_moments_match_oracle(self):
-        acc = run(samples=200_000)
+        acc = run(samples=200_000, queries=McQueries(moment_orders=(1, 2)))
         mean = mc_moment(acc, Part.REAL, 1)
         second = mc_moment(acc, Part.REAL, 2)
         assert mean.method is CIMethod.NORMAL_APPROX
@@ -172,7 +180,7 @@ class TestEstimates:
         params = ModelParams(6, 1, 6)
         acc = mc_run(
             params,
-            McQueries(tail_thresholds=(0.5,)),
+            McQueries(moment_orders=(2,), tail_thresholds=(0.5,)),
             McConfig(samples=10_000, seed=1, batch=10_000),
         )
         assert mc_tail(acc, Part.REAL, 0.5).estimate == 0.0
@@ -196,7 +204,7 @@ class TestPowerSums:
     def test_moments_equal_direct_reductions(self):
         params = ModelParams(8, 3, 3)
         parts = (Part.IMAG, Part.MODULUS_CENTERED)
-        queries = McQueries(parts=parts, moment_orders=(3,), modulus_center=1.25)
+        queries = McQueries(parts=parts, moment_orders=(1, 2, 3), modulus_center=1.25)
         # One batch of one chunk, so each sum is a single reduction.
         cfg = McConfig(samples=5_000, seed=17, batch=5_000)
         acc = mc_run(params, queries, cfg)
@@ -213,6 +221,17 @@ class TestPowerSums:
                 half = z * math.sqrt(max(direct[2 * k] / x.size - mean * mean, 0.0) / x.size)
                 assert (est.estimate, est.half_width, est.n) == (mean, half, x.size)
 
+    @pytest.mark.parametrize("orders", [(), (1,), (2,), (1, 2), (3, 6)])
+    def test_registration_is_exact(self, orders):
+        parts = (Part.REAL, Part.MODULUS)
+        queries = McQueries(parts=parts, moment_orders=orders)
+        acc = Accumulator.zero(PARAMS, queries, McConfig(samples=1_000, seed=0))
+        expected = {(p, j) for p in parts for k in orders for j in (k, 2 * k)}
+        assert set(acc.power_sums) == expected
+        if not orders:
+            with pytest.raises(QueryError):
+                mc_moment(acc, Part.REAL, 1)
+
     def test_unregistered_part(self):
         acc = mc_run(
             PARAMS,
@@ -224,20 +243,6 @@ class TestPowerSums:
                 mc_moment(acc, part, 1)
             with pytest.raises(QueryError):
                 mc_tail(acc, part, 1.0)
-
-
-class TestWorkCeiling:
-    def test_rejects_oversized_run(self):
-        with pytest.raises(CapabilityError):
-            mc_run(
-                PARAMS,
-                McQueries(),
-                McConfig(samples=2**40, seed=0),
-            )
-
-    def test_ceiling_override(self):
-        acc = mc_run(PARAMS, McQueries(), McConfig(samples=1_000, seed=0), work_ceiling=None)
-        assert acc.n == 1_000
 
 
 class TestMcPsi2:
@@ -269,6 +274,53 @@ class TestMcPsi2:
         with pytest.raises(ParameterDomainError):
             mc_psi2(PARAMS, Part.MODULUS_CENTERED, McConfig(samples=1_000, seed=0))
 
+    @pytest.mark.parametrize("part", [Part.REAL, Part.MODULUS_CENTERED])
+    def test_matches_concatenated_samples(self, part):
+        # Three batches, the first two of two chunks each: the norm and the
+        # bracket equal those of all samples concatenated in batch order.
+        params = ModelParams(1024, 5, 32)
+        cfg = McConfig(samples=12_000, seed=23, batch=5_000)
+        center = 5.5
+        rows_per_chunk = _CHUNK_ELEMENTS // params.N
+        assert rows_per_chunk < cfg.batch
+        chunks = []
+        for b, size in _batches(cfg):
+            rng = _substream(cfg.seed, b)
+            for start in range(0, size, rows_per_chunk):
+                re, im = _batch_part_values(params, rng, min(rows_per_chunk, size - start))
+                chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
+        values = np.concatenate(chunks)
+        sq = values * values
+
+        def objective(K):
+            with np.errstate(over="ignore"):
+                return float(np.mean(np.exp(sq / (K * K))))
+
+        tol = 1e-6
+        lo, hi = _psi2_bisect(objective, params.N, tol)
+        root = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):
+            at_root = np.exp(sq / (root * root))
+        se = float(at_root.std()) / math.sqrt(at_root.size)
+        h = max(1e-6, 1e-3 * root)
+        widen = se / max(abs(objective(root + h) - objective(root - h)) / (2.0 * h), 1e-300)
+        expected = (root, (max(lo - widen, 0.0), hi + widen))
+        for workers in (1, 3):
+            est = mc_psi2(params, part, cfg, tol, center=center, workers=workers)
+            assert (est.norm, est.bracket) == expected
+
+    def test_memory_per_sample(self):
+        # Small batches keep the draw temporaries small, so the peak is the
+        # retained squared samples plus the probe buffer and std's temporary.
+        cfg = McConfig(samples=1_000_000, seed=5, batch=16_384)
+        tracemalloc.start()
+        try:
+            mc_psi2(ModelParams(8, 1, 4), Part.REAL, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.samples < 28
+
 
 class TestCalibration:
     def test_ci_coverage_over_grid(self):
@@ -285,7 +337,9 @@ class TestCalibration:
                 for m in range(1, N + 1):
                     params = ModelParams(N, l, m)
                     t = 0.5 * math.sqrt(N)
-                    queries = McQueries(parts=(Part.REAL,), tail_thresholds=(t,))
+                    queries = McQueries(
+                        parts=(Part.REAL,), moment_orders=(1, 2), tail_thresholds=(t,)
+                    )
                     cfg = McConfig(samples=16_384, seed=1000 + 31 * N + m + 977 * l)
                     acc = mc_run(params, queries, cfg)
                     checks = (

@@ -14,8 +14,11 @@ REMOVED = {
         "SupportMask", "sample_mask", "special_form", "FormKind", "SpecialForm",
         "dft_atom", "evaluate", "trig_sums", "_kahan_sum",
     ),
-    montecarlo: ("mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum"),
-    cli: ("BoundReport", "tail_bound_report"),
+    montecarlo: (
+        "mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum",
+        "DEFAULT_WORK_CEILING", "_check_work",
+    ),
+    cli: ("BoundReport", "tail_bound_report", "_map_points"),
 }
 REMOVED_ATTRIBUTES = {
     model.ModelParams: ("p", "is_dc"),
@@ -60,3 +63,8 @@ def test_removed_attributes_are_gone():
     for cls, names in REMOVED_FIELDS.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         assert fields.isdisjoint(names), cls.__name__
+
+
+@pytest.mark.parametrize("fn", [montecarlo.mc_run, montecarlo.mc_psi2], ids=lambda f: f.__name__)
+def test_no_work_ceiling(fn):
+    assert "work_ceiling" not in inspect.signature(fn).parameters
