@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.metadata
 import importlib.resources
 import json
 import math
@@ -27,7 +26,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import bounds, oracle
+from . import __version__, bounds, oracle
 from .errors import ParameterDomainError, SpectralMaskError
 from .model import ModelParams, Part
 from .montecarlo import (
@@ -35,6 +34,7 @@ from .montecarlo import (
     Accumulator,
     McConfig,
     McQueries,
+    _check_psi2_bytes,
     _map_ordered,
     _splitmix64,
     mc_moment,
@@ -428,6 +428,10 @@ def _psi2_point(params: ModelParams, cfg: RunConfig) -> list[list[str]]:
 
 
 def cmd_psi2(cfg: RunConfig) -> int:
+    mc_cfg = cfg.mc_config()
+    if mc_cfg is not None:
+        # Refuse before any point runs, ahead of the centering passes.
+        _check_psi2_bytes(mc_cfg)
     workers = _effective_workers(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     points = cfg.iter_params()
@@ -500,16 +504,9 @@ def cmd_scan(cfg: RunConfig, formula: str) -> int:
     return 0
 
 
-def _package_version() -> str:
-    try:
-        return importlib.metadata.version("spectral-mask")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _environment() -> dict:
     return {
-        "package_version": _package_version(),
+        "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": sys.platform,

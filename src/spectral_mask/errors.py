@@ -15,7 +15,8 @@ class HypothesisViolationError(SpectralMaskError, ValueError):
 
 
 class CapabilityError(SpectralMaskError, RuntimeError):
-    """The request exceeds a resource guard (enumeration size)."""
+    """The request exceeds a resource guard (enumeration size, or the bytes
+    ``mc_psi2`` would hold)."""
 
 
 class QueryError(SpectralMaskError, LookupError):

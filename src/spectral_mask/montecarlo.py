@@ -4,7 +4,11 @@ Sampling uses the counter-based Philox generator (``philox4x64-10``): batch b
 draws from an independent substream keyed ``seed XOR splitmix64(b)``, so a
 given config produces bit-identical results no matter how many workers
 computed the batches.  Per-batch accumulators merge in a deterministic binary
-tree by batch index.
+tree by batch index.  The mask-times-atoms products run on the calling
+thread in 4-row-aligned calls, so results do not depend on the BLAS thread
+count either.  Masks are drawn one block at a time into one reused buffer,
+so the working set of a pass is one draw block (``_BLOCK_ELEMENTS``), not a
+chunk or a batch.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
@@ -26,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ParameterDomainError, QueryError
+from .errors import CapabilityError, ParameterDomainError, QueryError
 from .model import (
     REAL_VALUED_PARTS,
     VALUE_GROUPING_TOL,
@@ -42,8 +46,25 @@ RNG_ALGORITHM = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
 # Elements (samples x N) generated per internal chunk; a fixed function of N
-# only, so chunking never perturbs the stream-to-sample mapping.
+# only, so chunking never perturbs the stream-to-sample mapping.  The samples
+# equal one matrix-vector product over each whole chunk, whose last
+# ``rows % 4`` rows go through OpenBLAS's tail kernels, so this constant also
+# fixes which rows those are: it is part of the bit contract.  Memory is
+# bounded by ``_BLOCK_ELEMENTS``, not by this.
 _CHUNK_ELEMENTS = 1 << 22
+# Elements drawn per block into the one reused float64 mask buffer (2 MiB,
+# cache-sized), rounded to whole calls of ``_gemv_rows(N)`` rows.
+_BLOCK_ELEMENTS = 1 << 18
+# OpenBLAS runs dgemv on the calling thread when rows x N is below
+# 2304 x GEMM_MULTITHREAD_THRESHOLD = 2304 x 4 (interface/gemv.c); larger
+# products wake its worker threads, which split the rows off the 4-row
+# kernel boundaries and spin on the cores the point threads need.
+_GEMV_SINGLE_THREAD_ELEMENTS = 2304 * 4
+# mc_psi2 holds 24 B per sample at peak (the squared samples, the probe
+# buffer and the temporary inside ``std``) and refuses runs above 1 GiB,
+# about 44.7M samples, rather than risk an out-of-memory kill.
+_PSI2_BYTES_PER_SAMPLE = 24
+_PSI2_MAX_BYTES = 1 << 30
 
 
 def _splitmix64(x: int) -> int:
@@ -213,25 +234,6 @@ def _accumulate(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> None:
         )
 
 
-def _draw_masks(params: ModelParams, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` Bernoulli(m/N) masks as a 0/1 float64 matrix of N columns."""
-    if params.m == params.N:
-        return np.ones((rows, params.N), dtype=np.float64)
-    threshold = np.uint64(_inclusion_threshold(params.m, params.N))
-    u = rng.integers(0, 2**64, size=(rows, params.N), dtype=np.uint64)
-    return (u < threshold).astype(np.float64)
-
-
-def _batch_part_values(
-    params: ModelParams, rng: np.random.Generator, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    atoms = atom_table(params.N, params.l)
-    cos_col = np.ascontiguousarray(atoms.real)
-    msin_col = np.ascontiguousarray(atoms.imag)
-    incl = _draw_masks(params, rng, rows)
-    return incl @ cos_col, incl @ msin_col
-
-
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     """Commutative pairwise merge: field-wise addition of the reductions."""
     if (a.params, a.queries, a.cfg) != (b.params, b.queries, b.cfg):
@@ -276,14 +278,91 @@ def _batches(cfg: McConfig) -> list[tuple[int, int]]:
     return list(enumerate(sizes))
 
 
+def _gemv_rows(N: int) -> int:
+    """Rows per matrix-vector call: the largest multiple of 4 whose product
+    stays on the calling thread, and at least 4.  From N = 2304 on even 4
+    rows cross the threshold, but OpenBLAS gives each thread at least 4 rows,
+    so calls of at most 8 rows still split on 4-row boundaries."""
+    return max(4, (_GEMV_SINGLE_THREAD_ELEMENTS - 1) // N // 4 * 4)
+
+
+def _chunk_plan(rows: int, step: int, block_rows: int):
+    """Draw blocks of one chunk of ``rows`` rows, as ``(start, slices, tail)``.
+
+    A block starts at row ``start``; its first ``slices * step`` rows go
+    through one stacked product, then each entry of ``tail`` is one more
+    product of that many rows.  Every call starts on a multiple of 4 and the
+    last one ends the chunk, holding its ``rows % 4`` odd rows, so each row
+    meets the OpenBLAS kernel it meets in one single-threaded product over
+    the whole chunk.  The tail has 2 to ``step + 1`` rows (a lone row is only
+    ever a 1-row chunk, multiplied as such); ``step + 1`` rows are split
+    ``step - 4`` and 5 to keep every call on the calling thread.
+    """
+    full = max(0, (rows - 2) // step)
+    last = rows - full * step
+    tail = tuple(k for k in (step - 4, 5) if k) if last > step else (last,)
+    per_block = block_rows // step
+    start = 0
+    while full:
+        slices = min(full, per_block)
+        full -= slices
+        if not full and slices * step + last <= block_rows:
+            yield start, slices, tail
+            return
+        yield start, slices, ()
+        start += slices * step
+    yield start, 0, tail
+
+
 def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
-    """The (re, im) sample chunks of one batch, in stream order."""
+    """The (re, im) sample chunks of one batch, in stream order.
+
+    Each chunk is drawn block by block into one reused mask buffer, and its
+    matrix-vector products run in calls of at most ``_gemv_rows(N)`` rows
+    laid out by ``_chunk_plan``: the samples equal one single-threaded
+    product over each whole chunk, whatever BLAS thread count is set.
+    """
+    N = params.N
     rng = _substream(seed, batch_index)
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // params.N)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // N)
+    atoms = atom_table(N, params.l)
+    cols = (np.ascontiguousarray(atoms.real), np.ascontiguousarray(atoms.imag))
+    step = _gemv_rows(N)
+    block_rows = max(step + 1, _BLOCK_ELEMENTS // N // step * step)
+    buf = np.empty(min(block_rows, size) * N)
+    if params.m == N:
+        threshold = None
+        buf.fill(1.0)
+    else:
+        threshold = np.uint64(_inclusion_threshold(params.m, N))
     done = 0
     while done < size:
         rows = min(rows_per_chunk, size - done)
-        yield _batch_part_values(params, rng, rows)
+        out = (np.empty(rows), np.empty(rows))
+        for start, slices, tail in _chunk_plan(rows, step, block_rows):
+            stacked = slices * step
+            n = stacked + sum(tail)
+            flat = buf[: n * N]
+            if threshold is not None:
+                np.less(
+                    rng.integers(0, 2**64, size=flat.size, dtype=np.uint64),
+                    threshold,
+                    out=flat,
+                )
+            masks = flat.reshape(n, N)
+            for col, values in zip(cols, out):
+                dst = values[start : start + n]
+                if slices:
+                    np.matmul(
+                        masks[:stacked].reshape(slices, step, N),
+                        col,
+                        out=dst[:stacked].reshape(slices, step),
+                    )
+                at = stacked
+                for k in tail:
+                    np.matmul(masks[at : at + k], col, out=dst[at : at + k])
+                    at += k
+        yield out
         done += rows
 
 
@@ -326,6 +405,15 @@ def mc_run(
             lambda item: _run_batch(params, queries, cfg, *item), _batches(cfg), workers
         )
     )
+
+
+def _check_psi2_bytes(cfg: McConfig) -> None:
+    need = cfg.samples * _PSI2_BYTES_PER_SAMPLE
+    if need > _PSI2_MAX_BYTES:
+        raise CapabilityError(
+            f"psi2 over {cfg.samples} samples would hold {need} B, above the "
+            f"{_PSI2_MAX_BYTES} B budget; use fewer samples"
+        )
 
 
 def _z_value(confidence: float) -> float:
@@ -388,7 +476,8 @@ def mc_psi2(
     bisection sees a monotone objective.  The returned bracket is widened by
     the objective's sampling noise at the root through its local slope; it is
     a diagnostic, not a certified enclosure.  Only the squared samples are
-    kept, plus one buffer every probe reuses.
+    kept, plus one buffer every probe reuses: 24 B per sample, so runs above
+    ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
     """
     if part not in REAL_VALUED_PARTS:
         raise ParameterDomainError(f"mc_psi2 needs a real-valued part, got {part!r}")
@@ -397,6 +486,7 @@ def mc_psi2(
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
 
+    _check_psi2_bytes(cfg)
     sq = np.empty(cfg.samples)
 
     def fill_batch(item: tuple[int, int]) -> None:

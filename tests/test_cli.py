@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import jsonschema
 import pytest
 
+import spectral_mask
 from spectral_mask import bounds, cli
 from spectral_mask.cli import (
     CROSSOVER_HEADER,
@@ -171,6 +173,7 @@ class TestVerifyCommand:
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
         assert summary["environment"]["law_algorithm"] == "atom-convolution-v1"
+        assert summary["environment"]["package_version"] == spectral_mask.__version__
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}
 
     def test_verify_deterministic_output(self, tmp_path):
@@ -409,6 +412,22 @@ class TestPsi2Command:
         _, rows = read_csv(tmp_path / "psi2.csv")
         assert rows[0][4] == "" and rows[0][6] == ""
         assert rows[0][5] != ""
+
+
+    def test_sample_bytes_refused(self, tmp_path, capsys):
+        # 1e9 samples would hold 24 GB: refused at once, nothing written.
+        path = write_config(
+            tmp_path, {"n_grid": [8], "parts": ["real", "modulus_centered"]}
+        )
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = cli.main(
+            ["psi2", "--config", path, "--out", str(out), "--samples", "1000000000"]
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert not (out / "psi2.csv").exists()
+        assert "budget" in capsys.readouterr().err
 
 
 class TestScanCommand:

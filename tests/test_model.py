@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mc_reference import draw_masks
 from scalar_reference import dft_atom, evaluate, trig_sums
 from spectral_mask import ModelParams, ParameterDomainError, Part
 from spectral_mask.model import _inclusion_threshold, atom_table
-from spectral_mask.montecarlo import _draw_masks
 
 
 def mask(*indices):
@@ -179,21 +179,22 @@ class TestTrigSums:
 
 
 class TestSampleMask:
-    """The Bernoulli mask draw of the Monte Carlo engine."""
+    """The Bernoulli mask draw of the Monte Carlo reference (``mc_reference``),
+    which ``_batch_chunks`` equals bit for bit."""
 
     def test_full_inclusion(self):
         rng = np.random.default_rng(0)
-        assert (_draw_masks(ModelParams(10, 1, 10), rng, 5) == 1.0).all()
+        assert (draw_masks(ModelParams(10, 1, 10), rng, 5) == 1.0).all()
 
     def test_single_certain_trial(self):
         rng = np.random.default_rng(0)
-        assert _draw_masks(ModelParams(1, 0, 1), rng, 1).tolist() == [[1.0]]
+        assert draw_masks(ModelParams(1, 0, 1), rng, 1).tolist() == [[1.0]]
 
     def test_inclusion_frequencies_within_six_sigma(self):
         params = ModelParams(10, 3, 3)
         draws = 20_000
         rng = np.random.default_rng(1234)
-        masks = _draw_masks(params, rng, draws)
+        masks = draw_masks(params, rng, draws)
         assert set(np.unique(masks)) <= {0.0, 1.0}
         p = params.m / params.N
         sigma = math.sqrt(p * (1 - p) / draws)

@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_mask
+from mc_reference import batch_chunks as reference_chunks
+from mc_reference import chunk_part_values
 from spectral_mask import (
+    CapabilityError,
     CIMethod,
     McConfig,
     McQueries,
@@ -23,11 +31,13 @@ from spectral_mask import (
     merge_tree,
     psi2_sup_upper,
 )
+from spectral_mask import montecarlo
 from spectral_mask.montecarlo import (
     _CHUNK_ELEMENTS,
     Accumulator,
-    _batch_part_values,
+    _batch_chunks,
     _batches,
+    _chunk_plan,
     _substream,
     _z_value,
 )
@@ -209,7 +219,7 @@ class TestPowerSums:
         cfg = McConfig(samples=5_000, seed=17, batch=5_000)
         acc = mc_run(params, queries, cfg)
         assert set(acc.power_sums) == {(p, k) for p in parts for k in (1, 2, 3, 4, 6)}
-        re, im = _batch_part_values(params, _substream(cfg.seed, 0), cfg.samples)
+        re, im = chunk_part_values(params, _substream(cfg.seed, 0), cfg.samples)
         samples = {Part.IMAG: im, Part.MODULUS_CENTERED: np.hypot(re, im) - 1.25}
         z = _z_value(cfg.confidence)
         for part, x in samples.items():
@@ -243,6 +253,136 @@ class TestPowerSums:
                 mc_moment(acc, part, 1)
             with pytest.raises(QueryError):
                 mc_tail(acc, part, 1.0)
+
+
+class TestDrawLayout:
+    """``_batch_chunks`` draws block by block but equals the whole-chunk
+    reference bit for bit, on shapes whose reference product runs on one
+    BLAS thread whatever the machine (rows x N below 9216)."""
+
+    @staticmethod
+    def assert_matches_reference(params, size, seed=29, batch_index=2):
+        got = list(_batch_chunks(params, seed, batch_index, size))
+        want = list(reference_chunks(params, seed, batch_index, size))
+        assert len(got) == len(want)
+        for (re, im), (ref_re, ref_im) in zip(got, want):
+            assert re.tobytes() == ref_re.tobytes()
+            assert im.tobytes() == ref_im.tobytes()
+
+    @pytest.mark.parametrize(
+        "N,l,m", [(1, 0, 1), (3, 1, 1), (3, 2, 3), (64, 5, 21), (1000, 7, 1), (1000, 3, 333)]
+    )
+    def test_small_sizes(self, N, l, m):
+        for size in range(1, 10):
+            self.assert_matches_reference(ModelParams(N, l, m), size)
+
+    @pytest.mark.parametrize("N,l,m", [(1, 0, 1), (2, 1, 1), (2, 1, 2)])
+    def test_one_call_chunks(self, N, l, m):
+        for size in (4096, 4097):
+            self.assert_matches_reference(ModelParams(N, l, m), size)
+
+    @pytest.mark.parametrize("threshold", [96, 24])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_many_blocks_and_chunks(self, monkeypatch, threshold, m):
+        # Shrunk constants give 16- and 4-row calls, several 48- and 60-row
+        # blocks per chunk and an odd chunk size (200 rows of N = 5), so one
+        # batch spans many chunks and every tail shape while each reference
+        # product stays small enough for one BLAS thread.
+        monkeypatch.setattr(montecarlo, "_GEMV_SINGLE_THREAD_ELEMENTS", threshold)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 300)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1001)
+        params = ModelParams(5, 2, m)
+        assert montecarlo._gemv_rows(5) == {96: 16, 24: 4}[threshold]
+        for size in [*range(1, 131), 1617, 4096, 4097]:
+            self.assert_matches_reference(params, size)
+
+    @pytest.mark.parametrize("step,block_rows", [(4, 5), (4, 60), (8, 9), (16, 48), (1148, 32144)])
+    def test_chunk_plan(self, step, block_rows):
+        for rows in [*range(1, 6 * step), 524_288]:
+            sizes, starts, at = [], [], 0
+            for start, slices, tail in _chunk_plan(rows, step, block_rows):
+                assert start == at
+                assert slices * step + sum(tail) <= block_rows
+                for k in [step] * slices + list(tail):
+                    starts.append(at)
+                    sizes.append(k)
+                    at += k
+            assert at == rows
+            # Calls start on 4-row boundaries, stay within one step (or 5
+            # rows), and only a 1-row chunk is a 1-row call.
+            assert all(s % 4 == 0 for s in starts)
+            assert all(k <= step or k == 5 for k in sizes)
+            assert 1 not in sizes or rows == 1
+
+    def test_working_set_is_one_block(self):
+        params = ModelParams(1024, 1, 8)
+
+        def peak(size):
+            tracemalloc.start()
+            try:
+                for _ in _batch_chunks(params, 0, 0, size):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(50_000)
+        assert large < 8 * 2**20
+        assert large <= small + 2**16
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+_HASH_SCRIPT = """
+import hashlib, sys
+from mc_reference import batch_chunks
+from spectral_mask import ModelParams
+from spectral_mask.montecarlo import _batch_chunks
+
+def digest(chunks):
+    h = hashlib.sha256()
+    for re, im in chunks:
+        h.update(re.tobytes())
+        h.update(im.tobytes())
+    return h.hexdigest()
+
+for N, size in [(100, 20003), (1000, 20000), (1024, 20003), (3000, 4099), (12, 20001)]:
+    for m in (1, N // 3, N):
+        params = ModelParams(N, 1, m)
+        line = [N, m, size, digest(_batch_chunks(params, 5, 1, size))]
+        if sys.argv[1] == "1":
+            line.append(digest(batch_chunks(params, 5, 1, size)))
+        print(*line)
+"""
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for two BLAS threads")
+def test_samples_independent_of_blas_threads():
+    # Row counts that no thread split keeps on 4-row kernel boundaries:
+    # one product over each whole chunk gives samples that depend on the
+    # BLAS thread count; the drawn samples must not, and must equal that
+    # product on one thread.
+    path = os.pathsep.join(
+        [str(Path(spectral_mask.__file__).parents[1]), str(Path(__file__).parent)]
+    )
+    procs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _HASH_SCRIPT, str(threads)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in (1, 2)
+    }
+    out = {threads: proc.communicate()[0].splitlines() for threads, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert len(out[1]) == len(out[2]) == 15
+    for one, two in zip(out[1], out[2]):
+        case, drawn, reference = one.rsplit(" ", 2)
+        assert two == f"{case} {drawn}"
+        assert drawn == reference, case
 
 
 class TestMcPsi2:
@@ -285,9 +425,7 @@ class TestMcPsi2:
         assert rows_per_chunk < cfg.batch
         chunks = []
         for b, size in _batches(cfg):
-            rng = _substream(cfg.seed, b)
-            for start in range(0, size, rows_per_chunk):
-                re, im = _batch_part_values(params, rng, min(rows_per_chunk, size - start))
+            for re, im in _batch_chunks(params, cfg.seed, b, size):
                 chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
         values = np.concatenate(chunks)
         sq = values * values
@@ -308,6 +446,11 @@ class TestMcPsi2:
         for workers in (1, 3):
             est = mc_psi2(params, part, cfg, tol, center=center, workers=workers)
             assert (est.norm, est.bracket) == expected
+
+    def test_sample_bytes_guard(self):
+        limit = montecarlo._PSI2_MAX_BYTES // montecarlo._PSI2_BYTES_PER_SAMPLE
+        with pytest.raises(CapabilityError):
+            mc_psi2(PARAMS, Part.REAL, McConfig(samples=limit + 1, seed=0))
 
     def test_memory_per_sample(self):
         # Small batches keep the draw temporaries small, so the peak is the

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +10,8 @@ import spectral_mask
 from spectral_mask import bounds, cli, model, montecarlo, oracle
 
 # Names that left the package because no command used them; the scalar
-# evaluator and the trigonometric sums live on in tests/scalar_reference.py.
+# evaluator and the trigonometric sums live on in tests/scalar_reference.py,
+# the whole-chunk mask draw in tests/mc_reference.py.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound"),
     model: (
@@ -16,9 +20,9 @@ REMOVED = {
     ),
     montecarlo: (
         "mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum",
-        "DEFAULT_WORK_CEILING", "_check_work",
+        "DEFAULT_WORK_CEILING", "_check_work", "_draw_masks", "_batch_part_values",
     ),
-    cli: ("BoundReport", "tail_bound_report", "_map_points"),
+    cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
 }
 REMOVED_ATTRIBUTES = {
     model.ModelParams: ("p", "is_dc"),
@@ -68,3 +72,16 @@ def test_removed_attributes_are_gone():
 @pytest.mark.parametrize("fn", [montecarlo.mc_run, montecarlo.mc_psi2], ids=lambda f: f.__name__)
 def test_no_work_ceiling(fn):
     assert "work_ceiling" not in inspect.signature(fn).parameters
+
+
+def test_version_matches_pyproject():
+    # summary.json records __version__, so it must be the released version
+    # however the package was installed.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'(?m)^version = "([^"]+)"', text).group(1)
+    assert spectral_mask.__version__ == version
