@@ -318,9 +318,9 @@ def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
     """The (re, im) sample chunks of one batch, in stream order.
 
     Each chunk is drawn block by block into one reused mask buffer, and its
-    matrix-vector products run in calls of at most ``_gemv_rows(N)`` rows
-    laid out by ``_chunk_plan``: the samples equal one single-threaded
-    product over each whole chunk, whatever BLAS thread count is set.
+    matrix-vector products run in the small calls ``_chunk_plan`` lays out:
+    the samples equal one single-threaded product over each whole chunk,
+    whatever BLAS thread count is set.
     """
     N = params.N
     rng = _substream(seed, batch_index)

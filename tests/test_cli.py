@@ -413,7 +413,6 @@ class TestPsi2Command:
         assert rows[0][4] == "" and rows[0][6] == ""
         assert rows[0][5] != ""
 
-
     def test_sample_bytes_refused(self, tmp_path, capsys):
         # 1e9 samples would hold 24 GB: refused at once, nothing written.
         path = write_config(
