@@ -38,8 +38,8 @@ from .montecarlo import (
     _map_ordered,
     _splitmix64,
     mc_moment,
-    mc_psi2,
-    mc_run,
+    mc_psi2_many,
+    mc_run_many,
     mc_tail,
 )
 from .verify import SUITES, SuiteResult
@@ -289,25 +289,43 @@ def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float |
     return [thm23, eq9, eq10, q_form]
 
 
-def _modulus_center(params: ModelParams, cfg: RunConfig) -> float:
-    """Center for modulus_centered queries: exact when enumerable, otherwise a
-    dedicated estimation pass on a seed derived from the main seed."""
-    if params.N <= cfg.max_enum_n:
-        dist = oracle.enumerate_distribution(
-            params, Part.MODULUS, max_enum_n=cfg.max_enum_n
-        )
-        return float(np.dot(dist.values, dist.probs))
-    pre = McConfig(
-        samples=cfg.mc_samples,
-        seed=_splitmix64(cfg.mc_seed),
-        batch=cfg.mc_batch,
-        confidence=cfg.mc_confidence,
+def _modulus_centers(
+    points: list[ModelParams], cfg: RunConfig, workers: int
+) -> list[float | None]:
+    """Center for modulus_centered queries at every point (``None`` when no
+    such part is asked for): exact when enumerable, otherwise from an
+    estimation pass on a seed derived from the main seed, one pass for all
+    such points (each N drawn once)."""
+    if Part.MODULUS_CENTERED not in cfg.parts:
+        return [None] * len(points)
+    centers = _map_ordered(
+        lambda p: _exact_mean_modulus(p, cfg) if p.N <= cfg.max_enum_n else None,
+        points,
+        workers,
     )
-    acc = mc_run(params, McQueries(parts=(Part.MODULUS,), moment_orders=(1,)), pre)
-    return mc_moment(acc, Part.MODULUS, 1).estimate
+    far = [i for i, center in enumerate(centers) if center is None]
+    if far:
+        pre = McConfig(
+            samples=cfg.mc_samples,
+            seed=_splitmix64(cfg.mc_seed),
+            batch=cfg.mc_batch,
+            confidence=cfg.mc_confidence,
+        )
+        queries = McQueries(parts=(Part.MODULUS,), moment_orders=(1,))
+        accs = mc_run_many([(points[i], queries) for i in far], pre, workers=workers)
+        for i, acc in zip(far, accs):
+            centers[i] = mc_moment(acc, Part.MODULUS, 1).estimate
+    return centers
 
 
-def _tails_point(params: ModelParams, cfg: RunConfig) -> list[tuple[str, list[list[str]]]]:
+def _exact_mean_modulus(params: ModelParams, cfg: RunConfig) -> float:
+    dist = oracle.enumerate_distribution(params, Part.MODULUS, max_enum_n=cfg.max_enum_n)
+    return float(np.dot(dist.values, dist.probs))
+
+
+def _tails_point(
+    params: ModelParams, cfg: RunConfig, acc: Accumulator | None
+) -> list[tuple[str, list[list[str]]]]:
     ts = cfg.t_grid.resolve(params.N)
     exact_curves: dict[Part, np.ndarray] = {}
     if params.N <= cfg.max_enum_n:
@@ -315,18 +333,6 @@ def _tails_point(params: ModelParams, cfg: RunConfig) -> list[tuple[str, list[li
             exact_curves[part] = oracle.exact_tail_curve(
                 params, part, ts, max_enum_n=cfg.max_enum_n
             )
-    acc: Accumulator | None = None
-    mc_cfg = cfg.mc_config()
-    if mc_cfg is not None:
-        center = None
-        if Part.MODULUS_CENTERED in cfg.parts:
-            center = _modulus_center(params, cfg)
-        queries = McQueries(
-            parts=cfg.parts,
-            tail_thresholds=tuple(float(t) for t in ts),
-            modulus_center=center,
-        )
-        acc = mc_run(params, queries, mc_cfg)
     files = []
     for part in cfg.parts:
         rows = []
@@ -352,7 +358,25 @@ def cmd_tails(cfg: RunConfig) -> int:
     workers = _effective_workers(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     points = cfg.iter_params()
-    results = _map_ordered(lambda p: _tails_point(p, cfg), points, workers)
+    accs: list[Accumulator | None] = [None] * len(points)
+    mc_cfg = cfg.mc_config()
+    if mc_cfg is not None:
+        centers = _modulus_centers(points, cfg, workers)
+        runs = [
+            (
+                params,
+                McQueries(
+                    parts=cfg.parts,
+                    tail_thresholds=tuple(float(t) for t in cfg.t_grid.resolve(params.N)),
+                    modulus_center=center,
+                ),
+            )
+            for params, center in zip(points, centers)
+        ]
+        accs = mc_run_many(runs, mc_cfg, workers=workers)
+    results = _map_ordered(
+        lambda i: _tails_point(points[i], cfg, accs[i]), range(len(points)), workers
+    )
     for files in results:
         for name, rows in files:
             path = cfg.output_dir / name
@@ -393,12 +417,12 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return 0
 
 
-def _psi2_point(params: ModelParams, cfg: RunConfig) -> list[list[str]]:
+def _psi2_point(
+    params: ModelParams, cfg: RunConfig, mc_norms: list[float | None]
+) -> list[list[str]]:
     rows = []
-    mc_cfg = cfg.mc_config()
-    for part in cfg.parts:
+    for part, mc_norm in zip(cfg.parts, mc_norms):
         exact_norm = moment_norm = None
-        center = None
         if params.N <= cfg.max_enum_n:
             exact_norm = oracle.exact_psi2_norm(
                 params, part, 1e-10, max_enum_n=cfg.max_enum_n
@@ -406,11 +430,6 @@ def _psi2_point(params: ModelParams, cfg: RunConfig) -> list[list[str]]:
             moment_norm = oracle.exact_psi2_moment_norm(
                 params, part, max_enum_n=cfg.max_enum_n
             ).norm
-        mc_norm = None
-        if mc_cfg is not None:
-            if part is Part.MODULUS_CENTERED:
-                center = _modulus_center(params, cfg)
-            mc_norm = mc_psi2(params, part, mc_cfg, 1e-6, center=center).norm
         rows.append(
             [
                 str(params.N),
@@ -435,7 +454,19 @@ def cmd_psi2(cfg: RunConfig) -> int:
     workers = _effective_workers(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     points = cfg.iter_params()
-    results = _map_ordered(lambda p: _psi2_point(p, cfg), points, workers)
+    mc_norms: list[list[float | None]] = [[None] * len(cfg.parts) for _ in points]
+    if mc_cfg is not None:
+        centers = _modulus_centers(points, cfg, workers)
+        runs = [
+            (params, part, center if part is Part.MODULUS_CENTERED else None)
+            for params, center in zip(points, centers)
+            for part in cfg.parts
+        ]
+        norms = iter(est.norm for est in mc_psi2_many(runs, mc_cfg, 1e-6, workers=workers))
+        mc_norms = [[next(norms) for _ in cfg.parts] for _ in points]
+    results = _map_ordered(
+        lambda i: _psi2_point(points[i], cfg, mc_norms[i]), range(len(points)), workers
+    )
     rows = [row for point_rows in results for row in point_rows]
     path = cfg.output_dir / "psi2.csv"
     _write_csv(path, PSI2_HEADER, rows)

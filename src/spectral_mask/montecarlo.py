@@ -6,9 +6,19 @@ given config produces bit-identical results no matter how many workers
 computed the batches.  Per-batch accumulators merge in a deterministic binary
 tree by batch index.  The mask-times-atoms products run on the calling
 thread in 4-row-aligned calls, so results do not depend on the BLAS thread
-count either.  Masks are drawn one block at a time into one reused buffer,
-so the working set of a pass is one draw block (``_BLOCK_ELEMENTS``), not a
-chunk or a batch.
+count either.
+
+The unit of work is one chunk of one batch: ``Philox.advance`` positions its
+substream at the chunk's first element, so the chunks of a batch run on
+separate workers.  The uniforms depend only on (N, seed, batch), so one
+draw of a chunk serves every run with that N: ``mc_run_many`` and
+``mc_psi2_many`` take many runs at once and share each draw among those
+with the same N, with one threshold compare per distinct m.  Masks are drawn
+one block at a time into one reused buffer, so besides its runs' chunk
+samples (capped per group by ``_GROUP_BYTES``) a running unit holds one
+draw block (``_BLOCK_ELEMENTS``).  Every accumulator equals the one its run
+gets alone: chunk partials fold in stream order from zero, then batches merge
+in the same tree.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
@@ -16,8 +26,8 @@ power sums keyed by (part, order) and one of threshold hits keyed by
 moment order k tracks the power sums of orders k and 2k; no other order is
 computed.  Asking for an unregistered part, order or threshold afterwards
 raises ``QueryError`` instead of silently re-running.  ``mc_run`` and
-``mc_psi2`` draw through the same batch loop, so both see the same samples
-for the same config.
+``mc_psi2`` are one-run calls of the grouped functions and draw through the
+same unit loop, so both see the same samples for the same config.
 """
 
 from __future__ import annotations
@@ -52,9 +62,15 @@ _MASK64 = (1 << 64) - 1
 # fixes which rows those are: it is part of the bit contract.  Memory is
 # bounded by ``_BLOCK_ELEMENTS``, not by this.
 _CHUNK_ELEMENTS = 1 << 22
-# Elements drawn per block into the one reused float64 mask buffer (2 MiB,
-# cache-sized), rounded to whole calls of ``_gemv_rows(N)`` rows.
-_BLOCK_ELEMENTS = 1 << 18
+# Elements drawn per block, rounded to whole calls of ``_gemv_rows(N)`` rows:
+# a running unit holds 1 MiB of uniforms and the 1 MiB float64 mask buffer it
+# reuses for every block and every m.  No bit depends on it: ``_chunk_plan``
+# fixes the product calls whatever the block size.
+_BLOCK_ELEMENTS = 1 << 17
+# Bytes the runs sharing one draw may hold: each keeps its chunk samples
+# (16 B per row) while a unit runs, and a psi2 run also its squared samples
+# (8 B per sample).  A group of one run may exceed it.
+_GROUP_BYTES = 16 << 20
 # OpenBLAS runs dgemv on the calling thread when rows x N is below
 # 2304 x GEMM_MULTITHREAD_THRESHOLD = 2304 x 4 (interface/gemv.c); larger
 # products wake its worker threads, which split the rows off the 4-row
@@ -228,10 +244,16 @@ def _accumulate(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> None:
     acc.n += int(re.size)
     for part, k in acc.power_sums:
         acc.power_sums[(part, k)] += _power_sum(arrays[part], k)
+    thresholds: dict = {}
     for part, t in acc.threshold_hits:
-        acc.threshold_hits[(part, t)] += int(
-            np.count_nonzero(np.abs(arrays[part]) >= t - VALUE_GROUPING_TOL)
-        )
+        thresholds.setdefault(part, []).append(t)
+    for part, ts in thresholds.items():
+        # |x| >= t - tol for all thresholds from one sort: the hits are the
+        # values at or after t - tol's left insertion point.
+        s = np.sort(np.abs(arrays[part]))
+        below = np.searchsorted(s, np.array(ts) - VALUE_GROUPING_TOL, side="left")
+        for t, k in zip(ts, below):
+            acc.threshold_hits[(part, t)] += s.size - int(k)
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
@@ -314,56 +336,99 @@ def _chunk_plan(rows: int, step: int, block_rows: int):
     yield start, 0, tail
 
 
-def _batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
-    """The (re, im) sample chunks of one batch, in stream order.
-
-    Each chunk is drawn block by block into one reused mask buffer, and its
-    matrix-vector products run in the small calls ``_chunk_plan`` lays out:
-    the samples equal one single-threaded product over each whole chunk,
-    whatever BLAS thread count is set.
-    """
-    N = params.N
-    rng = _substream(seed, batch_index)
+def _units(cfg: McConfig, N: int) -> list[tuple[int, int, int]]:
+    """(batch index, start row, rows) of every chunk of ``cfg`` at N, in
+    stream order: the units of work."""
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // N)
-    atoms = atom_table(N, params.l)
-    cols = (np.ascontiguousarray(atoms.real), np.ascontiguousarray(atoms.imag))
+    return [
+        (b, start, min(rows_per_chunk, size - start))
+        for b, size in _batches(cfg)
+        for start in range(0, size, rows_per_chunk)
+    ]
+
+
+def _unit_stream(seed: int, N: int, unit: tuple[int, int, int]) -> np.random.Generator:
+    """Batch b's substream positioned at the unit's first element e.  Philox
+    yields four 64-bit values per counter step, so advance e // 4 steps and
+    discard e % 4 values."""
+    b, start, _ = unit
+    rng = _substream(seed, b)
+    e = start * N
+    rng.bit_generator.advance(e // 4)
+    if e % 4:
+        rng.integers(0, 2**64, size=e % 4, dtype=np.uint64)
+    return rng
+
+
+def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int, int]) -> dict:
+    """(re, im) of one chunk for every distinct (l, m) of ``points``, which
+    share one N, keyed by (l, m), all from one draw.
+
+    The chunk is drawn block by block; each block's uniforms are compared
+    once per distinct m into one reused mask buffer, and its matrix-vector
+    products run in the small calls ``_chunk_plan`` lays out: the samples
+    equal one single-threaded product over each whole chunk, whatever BLAS
+    thread count is set.
+    """
+    N, rows = points[0].N, unit[2]
+    by_m: dict = {}
+    for l, m in dict.fromkeys((p.l, p.m) for p in points):
+        atoms = atom_table(N, l)
+        cols = (np.ascontiguousarray(atoms.real), np.ascontiguousarray(atoms.imag))
+        by_m.setdefault(m, []).append(((l, m), cols))
+    thresholds = {m: np.uint64(_inclusion_threshold(m, N)) for m in by_m if m != N}
+    out = {key: (np.empty(rows), np.empty(rows)) for runs in by_m.values() for key, _ in runs}
+    rng = _unit_stream(seed, N, unit) if thresholds else None
     step = _gemv_rows(N)
     block_rows = max(step + 1, _BLOCK_ELEMENTS // N // step * step)
-    buf = np.empty(min(block_rows, size) * N)
-    if params.m == N:
-        threshold = None
-        buf.fill(1.0)
-    else:
-        threshold = np.uint64(_inclusion_threshold(params.m, N))
-    done = 0
-    while done < size:
-        rows = min(rows_per_chunk, size - done)
-        out = (np.empty(rows), np.empty(rows))
-        for start, slices, tail in _chunk_plan(rows, step, block_rows):
-            stacked = slices * step
-            n = stacked + sum(tail)
-            flat = buf[: n * N]
-            if threshold is not None:
-                np.less(
-                    rng.integers(0, 2**64, size=flat.size, dtype=np.uint64),
-                    threshold,
-                    out=flat,
-                )
-            masks = flat.reshape(n, N)
-            for col, values in zip(cols, out):
-                dst = values[start : start + n]
-                if slices:
-                    np.matmul(
-                        masks[:stacked].reshape(slices, step, N),
-                        col,
-                        out=dst[:stacked].reshape(slices, step),
-                    )
-                at = stacked
-                for k in tail:
-                    np.matmul(masks[at : at + k], col, out=dst[at : at + k])
-                    at += k
-        yield out
-        done += rows
+    buf = np.empty(min(block_rows, rows) * N)
+    for start, slices, tail in _chunk_plan(rows, step, block_rows):
+        stacked = slices * step
+        n = stacked + sum(tail)
+        flat = buf[: n * N]
+        masks = flat.reshape(n, N)
+        if rng is not None:
+            u = rng.integers(0, 2**64, size=flat.size, dtype=np.uint64)
+        for m, runs in by_m.items():
+            if m == N:
+                flat.fill(1.0)
+            else:
+                np.less(u, thresholds[m], out=flat)
+            for key, cols in runs:
+                for col, values in zip(cols, out[key]):
+                    dst = values[start : start + n]
+                    if slices:
+                        np.matmul(
+                            masks[:stacked].reshape(slices, step, N),
+                            col,
+                            out=dst[:stacked].reshape(slices, step),
+                        )
+                    at = stacked
+                    for k in tail:
+                        np.matmul(masks[at : at + k], col, out=dst[at : at + k])
+                        at += k
+    return out
+
+
+def _groups(params: list[ModelParams], cfg: McConfig, sample_bytes: int) -> list[list[int]]:
+    """Indexes into ``params`` grouped by N, each N split into consecutive
+    groups that hold at most ``_GROUP_BYTES``: 16 B per row of the largest
+    unit for each run, plus ``sample_bytes`` per sample.  Grouping changes
+    no bit."""
+    by_n: dict = {}
+    for i, p in enumerate(params):
+        by_n.setdefault(p.N, []).append(i)
+    groups = []
+    for N, idx in by_n.items():
+        rows = min(max(1, _CHUNK_ELEMENTS // N), cfg.batch)
+        size = max(1, _GROUP_BYTES // (16 * rows + sample_bytes * cfg.samples))
+        groups += [idx[i : i + size] for i in range(0, len(idx), size)]
+    return groups
+
+
+def _group_units(groups: list[list[int]], params: list[ModelParams], cfg: McConfig) -> list:
+    """(group, unit) for every unit of every group, in group and stream order."""
+    return [(group, unit) for group in groups for unit in _units(cfg, params[group[0]].N)]
 
 
 def _map_ordered(fn, items: list, workers: int) -> list:
@@ -375,13 +440,48 @@ def _map_ordered(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_batch(
-    params: ModelParams, queries: McQueries, cfg: McConfig, batch_index: int, size: int
-) -> Accumulator:
-    acc = Accumulator.zero(params, queries, cfg)
-    for re, im in _batch_chunks(params, cfg.seed, batch_index, size):
-        _accumulate(acc, re, im)
-    return acc
+def _check_workers(workers: int) -> None:
+    if not isinstance(workers, int) or workers < 1:
+        raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
+
+
+def mc_run_many(
+    runs: list[tuple[ModelParams, McQueries]],
+    cfg: McConfig,
+    *,
+    workers: int = 1,
+) -> list[Accumulator]:
+    """``mc_run`` for every (params, queries) of ``runs``, one accumulator
+    each, in order.
+
+    Runs with the same N read the same stream, so each chunk is drawn once
+    for a group of them; the chunks of every group run on up to ``workers``
+    threads.  Each accumulator is bit-identical to the one ``mc_run`` returns
+    for its run alone.
+    """
+    _check_workers(workers)
+    params = [p for p, _ in runs]
+    tasks = _group_units(_groups(params, cfg, 0), params, cfg)
+
+    def run_unit(task) -> list[Accumulator]:
+        group, unit = task
+        values = _draw_unit([params[i] for i in group], cfg.seed, unit)
+        partials = []
+        for i in group:
+            acc = Accumulator.zero(*runs[i], cfg)
+            _accumulate(acc, *values[(params[i].l, params[i].m)])
+            partials.append(acc)
+        return partials
+
+    # A chunk's partial starts from zero as its batch's accumulator does, so
+    # folding the partials in stream order adds the same terms in the same
+    # order as accumulating the chunks one after another.
+    per_batch: list[dict] = [{} for _ in runs]
+    for (group, (b, _, _)), partials in zip(tasks, _map_ordered(run_unit, tasks, workers)):
+        for i, partial in zip(group, partials):
+            accs = per_batch[i]
+            accs[b] = merge(accs[b], partial) if b in accs else partial
+    return [merge_tree(list(accs.values())) for accs in per_batch]
 
 
 def mc_run(
@@ -398,13 +498,7 @@ def mc_run(
     ``workers``: batch b always draws from substream seed XOR splitmix64(b)
     and merging is a fixed binary tree by batch index.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
-    return merge_tree(
-        _map_ordered(
-            lambda item: _run_batch(params, queries, cfg, *item), _batches(cfg), workers
-        )
-    )
+    return mc_run_many([(params, queries)], cfg, workers=workers)[0]
 
 
 def _check_psi2_bytes(cfg: McConfig) -> None:
@@ -461,6 +555,88 @@ def mc_tail(acc: Accumulator, part: Part, t: float) -> EstimateWithCI:
     return EstimateWithCI(estimate, half, n, CIMethod.HOEFFDING_INTERVAL)
 
 
+def _psi2_estimate(sq: np.ndarray, N: int, tol: float) -> Psi2Estimate:
+    """Bisect the empirical exp-moment of the squared samples ``sq``, reusing
+    one probe buffer of the same size."""
+    buf = np.empty_like(sq)
+
+    def exp_scaled(K: float) -> np.ndarray:
+        """exp(sq / K^2), written into ``buf``."""
+        with np.errstate(over="ignore"):
+            np.divide(sq, K * K, out=buf)
+            return np.exp(buf, out=buf)
+
+    def objective(K: float) -> float:
+        return float(np.mean(exp_scaled(K)))
+
+    bracket = None
+    if float(np.sqrt(sq.max(initial=0.0))) > VALUE_GROUPING_TOL:
+        bracket = _psi2_bisect(objective, N, tol)
+    if bracket is None:
+        return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
+    lo, hi = bracket
+    root = 0.5 * (lo + hi)
+    # Read the noise at the root before the slope probes overwrite buf.
+    se = float(exp_scaled(root).std()) / math.sqrt(sq.size)
+    h = max(1e-6, 1e-3 * root)
+    slope = abs(objective(root + h) - objective(root - h)) / (2.0 * h)
+    widen = se / max(slope, 1e-300)
+    bracket = (max(lo - widen, 0.0), hi + widen)
+    return Psi2Estimate(
+        root, Psi2Definition.ORLICZ_EXP_MOMENT, bracket, bracket[1] - bracket[0]
+    )
+
+
+def mc_psi2_many(
+    runs: list[tuple[ModelParams, Part, float | None]],
+    cfg: McConfig,
+    tol: float = 1e-6,
+    *,
+    workers: int = 1,
+) -> list[Psi2Estimate]:
+    """``mc_psi2`` for every (params, part, center) of ``runs``, in order.
+
+    Runs with the same N read the same stream, so each chunk is drawn once
+    for a group of them and fills the squared samples of each.  Groups go in
+    waves of up to ``workers``: the chunks of a wave run on up to
+    ``workers`` threads, then its runs bisect, one per thread.  Each estimate
+    equals the one ``mc_psi2`` returns for its run alone.
+    """
+    for params, part, center in runs:
+        if part not in REAL_VALUED_PARTS:
+            raise ParameterDomainError(f"mc_psi2 needs a real-valued part, got {part!r}")
+        if part is Part.MODULUS_CENTERED and center is None:
+            raise ParameterDomainError("centered-modulus psi2 needs an explicit center")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
+    _check_workers(workers)
+    _check_psi2_bytes(cfg)
+    params = [p for p, _, _ in runs]
+    groups = _groups(params, cfg, 8)
+    out: list = [None] * len(runs)
+    for w in range(0, len(groups), workers):
+        wave = groups[w : w + workers]
+        sq = {i: np.empty(cfg.samples) for group in wave for i in group}
+
+        def fill(task) -> None:
+            group, unit = task
+            b, start, rows = unit
+            values = _draw_unit([params[i] for i in group], cfg.seed, unit)
+            at = b * cfg.batch + start
+            for i in group:
+                p, part, center = runs[i]
+                x = _part_arrays((part,), *values[(p.l, p.m)], center)[part]
+                np.multiply(x, x, out=sq[i][at : at + rows])
+
+        _map_ordered(fill, _group_units(wave, params, cfg), workers)
+        # Each run's squares are released once its bisection ends.
+        idx = list(sq)
+        ests = _map_ordered(lambda i: _psi2_estimate(sq.pop(i), params[i].N, tol), idx, workers)
+        for i, est in zip(idx, ests):
+            out[i] = est
+    return out
+
+
 def mc_psi2(
     params: ModelParams,
     part: Part,
@@ -479,49 +655,4 @@ def mc_psi2(
     kept, plus one buffer every probe reuses: 24 B per sample, so runs above
     ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
     """
-    if part not in REAL_VALUED_PARTS:
-        raise ParameterDomainError(f"mc_psi2 needs a real-valued part, got {part!r}")
-    if part is Part.MODULUS_CENTERED and center is None:
-        raise ParameterDomainError("centered-modulus psi2 needs an explicit center")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
-
-    _check_psi2_bytes(cfg)
-    sq = np.empty(cfg.samples)
-
-    def fill_batch(item: tuple[int, int]) -> None:
-        b, size = item
-        at = b * cfg.batch
-        for re, im in _batch_chunks(params, cfg.seed, b, size):
-            x = _part_arrays((part,), re, im, center)[part]
-            np.multiply(x, x, out=sq[at : at + x.size])
-            at += x.size
-
-    _map_ordered(fill_batch, _batches(cfg), workers)
-    buf = np.empty_like(sq)
-
-    def exp_scaled(K: float) -> np.ndarray:
-        """exp(sq / K^2), written into ``buf``."""
-        with np.errstate(over="ignore"):
-            np.divide(sq, K * K, out=buf)
-            return np.exp(buf, out=buf)
-
-    def objective(K: float) -> float:
-        return float(np.mean(exp_scaled(K)))
-
-    bracket = None
-    if float(np.sqrt(sq.max(initial=0.0))) > VALUE_GROUPING_TOL:
-        bracket = _psi2_bisect(objective, params.N, tol)
-    if bracket is None:
-        return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
-    lo, hi = bracket
-    root = 0.5 * (lo + hi)
-    # Read the noise at the root before the slope probes overwrite buf.
-    se = float(exp_scaled(root).std()) / math.sqrt(sq.size)
-    h = max(1e-6, 1e-3 * root)
-    slope = abs(objective(root + h) - objective(root - h)) / (2.0 * h)
-    widen = se / max(slope, 1e-300)
-    bracket = (max(lo - widen, 0.0), hi + widen)
-    return Psi2Estimate(
-        root, Psi2Definition.ORLICZ_EXP_MOMENT, bracket, bracket[1] - bracket[0]
-    )
+    return mc_psi2_many([(params, part, center)], cfg, tol, workers=workers)[0]

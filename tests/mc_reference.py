@@ -2,9 +2,10 @@
 
 Each chunk's masks are drawn as one (rows, N) matrix and multiplied by the
 atom columns in one product per column, the plain form of what
-``montecarlo._batch_chunks`` computes block by block.  The two agree bit for
+``montecarlo._draw_unit`` computes block by block.  The two agree bit for
 bit wherever this product runs on one BLAS thread (rows x N below 9216, or
 ``OPENBLAS_NUM_THREADS=1``) or its thread split falls on 4-row boundaries.
+``unit_chunks`` gives the engine's side of that comparison.
 """
 
 from __future__ import annotations
@@ -40,3 +41,13 @@ def batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
     rows_per_chunk = max(1, montecarlo._CHUNK_ELEMENTS // params.N)
     for start in range(0, size, rows_per_chunk):
         yield chunk_part_values(params, rng, min(rows_per_chunk, size - start))
+
+
+def unit_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
+    """The same chunks drawn by the engine, each unit on its own positioned
+    stream, as ``montecarlo._draw_unit`` yields them."""
+    rows_per_chunk = max(1, montecarlo._CHUNK_ELEMENTS // params.N)
+    key = (params.l, params.m)
+    for start in range(0, size, rows_per_chunk):
+        unit = (batch_index, start, min(rows_per_chunk, size - start))
+        yield montecarlo._draw_unit([params], seed, unit)[key]

@@ -321,19 +321,44 @@ class TestWorkerInvariance:
         assert all(r[1] == "" and r[2] != "" for r in rows)
 
 
+    def test_shared_draws_bytes_independent_of_workers(self, tmp_path):
+        # Above the guard at N = 256: two batches of two chunks each, shared
+        # by six points in the centering, tails and psi2 passes.
+        outputs = {}
+        for workers in (1, 3):
+            path = write_config(
+                tmp_path,
+                {
+                    "n_grid": [256],
+                    "l_grid": [1, 5],
+                    "m_grid": [8, 32, 128],
+                    "parts": ["real", "modulus_centered"],
+                    "mc": {"samples": 36_000, "seed": 6, "batch": 18_000},
+                    "workers": workers,
+                },
+            )
+            out = tmp_path / f"workers{workers}"
+            for command in ("tails", "psi2"):
+                assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+            outputs[workers] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert len(outputs[1]) == 13  # twelve tails files and psi2.csv
+        assert outputs[1] == outputs[3]
+
+
 class TestRegistration:
     def test_tails_passes_register_only_what_they_read(self, tmp_path, monkeypatch):
         # N above the guard: the centering pass reads the mean modulus, the
         # main pass reads tail hits only.
         runs = []
-        real_mc_run = cli.mc_run
+        real_mc_run_many = cli.mc_run_many
 
-        def spy(params, queries, cfg, **kwargs):
-            acc = real_mc_run(params, queries, cfg, **kwargs)
-            runs.append((queries.parts, set(acc.power_sums)))
-            return acc
+        def spy(run_list, cfg, **kwargs):
+            accs = real_mc_run_many(run_list, cfg, **kwargs)
+            for (_, queries), acc in zip(run_list, accs):
+                runs.append((queries.parts, set(acc.power_sums)))
+            return accs
 
-        monkeypatch.setattr(cli, "mc_run", spy)
+        monkeypatch.setattr(cli, "mc_run_many", spy)
         path = write_config(
             tmp_path,
             {

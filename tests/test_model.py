@@ -180,7 +180,7 @@ class TestTrigSums:
 
 class TestSampleMask:
     """The Bernoulli mask draw of the Monte Carlo reference (``mc_reference``),
-    which ``_batch_chunks`` equals bit for bit."""
+    which every Monte Carlo unit equals bit for bit."""
 
     def test_full_inclusion(self):
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ import pytest
 
 import spectral_mask
 from mc_reference import batch_chunks as reference_chunks
-from mc_reference import chunk_part_values
+from mc_reference import chunk_part_values, unit_chunks
 from spectral_mask import (
     CapabilityError,
     CIMethod,
@@ -25,20 +25,25 @@ from spectral_mask import (
     exact_tail,
     mc_moment,
     mc_psi2,
+    mc_psi2_many,
     mc_run,
+    mc_run_many,
     mc_tail,
     merge,
     merge_tree,
     psi2_sup_upper,
 )
 from spectral_mask import montecarlo
+from spectral_mask.model import VALUE_GROUPING_TOL
 from spectral_mask.montecarlo import (
     _CHUNK_ELEMENTS,
     Accumulator,
-    _batch_chunks,
+    _accumulate,
     _batches,
     _chunk_plan,
+    _draw_unit,
     _substream,
+    _units,
     _z_value,
 )
 from spectral_mask.oracle import _psi2_bisect
@@ -49,6 +54,17 @@ PARAMS = ModelParams(8, 1, 4)
 def run(samples=50_000, seed=7, batch=8_192, queries=None, **kwargs):
     queries = queries or McQueries(tail_thresholds=(0.0, 1.0, 9.0))
     return mc_run(PARAMS, queries, McConfig(samples=samples, seed=seed, batch=batch), **kwargs)
+
+
+def batch_accumulators(params, queries, cfg):
+    """One accumulator per batch of ``cfg``, filled chunk by chunk."""
+    accs = []
+    for b, size in _batches(cfg):
+        acc = Accumulator.zero(params, queries, cfg)
+        for re, im in unit_chunks(params, cfg.seed, b, size):
+            _accumulate(acc, re, im)
+        accs.append(acc)
+    return accs
 
 
 class TestConfigValidation:
@@ -101,29 +117,29 @@ class TestReproducibility:
 
 class TestMergeAlgebra:
     def test_merge_matches_single_pass(self):
-        # Same stream split into batches must agree with one huge batch to
-        # 1e-10 relative on every reduction.
-        queries = McQueries(tail_thresholds=(1.0,))
-        single = mc_run(PARAMS, queries, McConfig(samples=40_000, seed=3, batch=40_000))
-        split = mc_run(PARAMS, queries, McConfig(samples=40_000, seed=3, batch=40_000))
-        assert single == split  # same batching -> identical
-        # Re-batching changes the substream layout, so compare statistically
-        # equal reductions instead via a manual split of per-batch pieces.
-        batched = [
-            mc_run(PARAMS, queries, McConfig(samples=40_000, seed=3, batch=40_000))
-        ]
-        merged = merge_tree(batched)
-        assert merged == single
+        # The per-batch accumulators of a four-batch run, merged as the run's
+        # tree and as a left fold, agree with mc_run: hits exactly, power
+        # sums up to reassociation of four terms.
+        queries = McQueries(moment_orders=(1, 2), tail_thresholds=(0.5, 1.0, 2.0))
+        cfg = McConfig(samples=40_000, seed=3, batch=11_000)
+        accs = batch_accumulators(PARAMS, queries, cfg)
+        assert len(accs) == 4
+        whole = mc_run(PARAMS, queries, cfg)
+        tree = merge_tree(accs)
+        assert tree == whole
+        fold = accs[0]
+        for acc in accs[1:]:
+            fold = merge(fold, acc)
+        assert fold.n == whole.n == cfg.samples
+        assert fold.threshold_hits == whole.threshold_hits
+        assert fold.power_sums.keys() == whole.power_sums.keys()
+        for key, value in whole.power_sums.items():
+            assert fold.power_sums[key] == pytest.approx(value, rel=1e-12, abs=1e-9)
 
     def test_merge_commutative_and_tolerant(self):
         queries = McQueries(moment_orders=(2,), tail_thresholds=(1.0,))
         cfg = McConfig(samples=30_000, seed=11, batch=10_000)
-        from spectral_mask.montecarlo import _run_batch
-
-        accs = [
-            _run_batch(PARAMS, queries, cfg, b, size)
-            for b, size in _batches(cfg)
-        ]
+        accs = batch_accumulators(PARAMS, queries, cfg)
         ab = merge(accs[0], accs[1])
         ba = merge(accs[1], accs[0])
         assert ab == ba  # float addition of two terms is commutative
@@ -255,14 +271,49 @@ class TestPowerSums:
                 mc_tail(acc, part, 1.0)
 
 
+class TestThresholdHits:
+    def test_sorted_hits_equal_direct_counts(self):
+        # Thresholds on the exact outcome values, on sampled values and one
+        # tolerance either side of both, some repeated: the hits read from one
+        # sort equal counting |x| >= t - tol per threshold.
+        params = ModelParams(6, 1, 3)
+        center = 1.25
+        parts = (Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED)
+        re, im = chunk_part_values(params, _substream(4, 0), 3_000)
+        samples = {
+            Part.REAL: re,
+            Part.IMAG: im,
+            Part.MODULUS: np.hypot(re, im),
+            Part.MODULUS_CENTERED: np.hypot(re, im) - center,
+        }
+        base = [0.0, 1.0, 1.0]
+        for part in (Part.REAL, Part.IMAG, Part.MODULUS):
+            base += [abs(float(v)) for v in enumerate_distribution(params, part).values]
+        base += [abs(float(v)) for x in samples.values() for v in x[:40]]
+        ts = tuple(t + d for t in base for d in (-VALUE_GROUPING_TOL, 0.0, VALUE_GROUPING_TOL))
+        queries = McQueries(parts=parts, tail_thresholds=tuple(max(t, 0.0) for t in ts),
+                            modulus_center=center)
+        acc = Accumulator.zero(params, queries, McConfig(samples=3_000, seed=4))
+        _accumulate(acc, re, im)
+        _accumulate(acc, re[:1_000], im[:1_000])
+        assert len(acc.threshold_hits) < len(parts) * len(queries.tail_thresholds)
+        for (part, t), hits in acc.threshold_hits.items():
+            x = np.abs(samples[part])
+            direct = np.count_nonzero(x >= t - VALUE_GROUPING_TOL)
+            direct += np.count_nonzero(x[:1_000] >= t - VALUE_GROUPING_TOL)
+            assert hits == direct, (part, t)
+        assert 0 < acc.threshold_hits[(Part.REAL, 1.0)] < 4_000
+
+
 class TestDrawLayout:
-    """``_batch_chunks`` draws block by block but equals the whole-chunk
-    reference bit for bit, on shapes whose reference product runs on one
-    BLAS thread whatever the machine (rows x N below 9216)."""
+    """Each unit draws its chunk block by block on its own positioned stream
+    but equals the whole-chunk reference bit for bit, on shapes whose
+    reference product runs on one BLAS thread whatever the machine (rows x N
+    below 9216)."""
 
     @staticmethod
     def assert_matches_reference(params, size, seed=29, batch_index=2):
-        got = list(_batch_chunks(params, seed, batch_index, size))
+        got = list(unit_chunks(params, seed, batch_index, size))
         want = list(reference_chunks(params, seed, batch_index, size))
         assert len(got) == len(want)
         for (re, im), (ref_re, ref_im) in zip(got, want):
@@ -314,14 +365,43 @@ class TestDrawLayout:
             assert all(k <= step or k == 5 for k in sizes)
             assert 1 not in sizes or rows == 1
 
+    @pytest.mark.parametrize("chunk_elements", [999, 1001])
+    @pytest.mark.parametrize("N", [1, 3, 5, 7, 12, 1000, 1024])
+    def test_units_start_anywhere(self, monkeypatch, N, chunk_elements):
+        # Odd chunk sizes put unit starts off the 4-value boundaries of the
+        # Philox counter; every unit, drawn alone in any order, still equals
+        # its chunk of the reference's sequential draw.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
+        rows_per_chunk = max(1, chunk_elements // N)
+        samples = max(12, 5 * rows_per_chunk + 7)
+        cfg = McConfig(samples=samples, seed=31, batch=samples // 2 + 1)
+        units = _units(cfg, N)
+        assert len(units) >= 6
+        l = min(1, N - 1)
+        for m in sorted({1, max(1, N // 3), N}):
+            params = ModelParams(N, l, m)
+            want = {
+                (b, start): chunk
+                for b, size in _batches(cfg)
+                for start, chunk in zip(
+                    range(0, size, rows_per_chunk),
+                    reference_chunks(params, cfg.seed, b, size),
+                )
+            }
+            for unit in reversed(units):
+                re, im = _draw_unit([params], cfg.seed, unit)[(l, m)]
+                ref_re, ref_im = want[unit[:2]]
+                assert re.tobytes() == ref_re.tobytes()
+                assert im.tobytes() == ref_im.tobytes()
+
     def test_working_set_is_one_block(self):
         params = ModelParams(1024, 1, 8)
+        queries = McQueries(parts=(Part.REAL, Part.MODULUS), tail_thresholds=(1.0, 30.0))
 
         def peak(size):
             tracemalloc.start()
             try:
-                for _ in _batch_chunks(params, 0, 0, size):
-                    pass
+                mc_run(params, queries, McConfig(samples=size, seed=0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -337,9 +417,8 @@ def _cpus() -> int:
 
 _HASH_SCRIPT = """
 import hashlib, sys
-from mc_reference import batch_chunks
+from mc_reference import batch_chunks, unit_chunks
 from spectral_mask import ModelParams
-from spectral_mask.montecarlo import _batch_chunks
 
 def digest(chunks):
     h = hashlib.sha256()
@@ -351,7 +430,7 @@ def digest(chunks):
 for N, size in [(100, 20003), (1000, 20000), (1024, 20003), (3000, 4099), (12, 20001)]:
     for m in (1, N // 3, N):
         params = ModelParams(N, 1, m)
-        line = [N, m, size, digest(_batch_chunks(params, 5, 1, size))]
+        line = [N, m, size, digest(unit_chunks(params, 5, 1, size))]
         if sys.argv[1] == "1":
             line.append(digest(batch_chunks(params, 5, 1, size)))
         print(*line)
@@ -425,7 +504,7 @@ class TestMcPsi2:
         assert rows_per_chunk < cfg.batch
         chunks = []
         for b, size in _batches(cfg):
-            for re, im in _batch_chunks(params, cfg.seed, b, size):
+            for re, im in unit_chunks(params, cfg.seed, b, size):
                 chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
         values = np.concatenate(chunks)
         sq = values * values
@@ -463,6 +542,91 @@ class TestMcPsi2:
         finally:
             tracemalloc.stop()
         assert peak / cfg.samples < 28
+
+
+class TestGroupedRuns:
+    """One draw per N serves every run of a grouped call; each result equals
+    the run's own one-run call bit for bit."""
+
+    POINTS = [
+        ModelParams(1000, 1, 1),
+        ModelParams(12, 5, 4),
+        ModelParams(1000, 3, 333),
+        ModelParams(1000, 3, 1000),
+        ModelParams(12, 5, 12),
+        ModelParams(1000, 7, 333),
+        ModelParams(1000, 3, 333),
+    ]
+    # Batches of five, five and one chunks at N = 1000 (under a 2^18-element
+    # chunk), so a chunk tree would reassociate; one chunk each at N = 12.
+    CFG = McConfig(samples=2_250, seed=41, batch=1_100)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 18)
+
+    # Group byte limits: the default (one group per N), one run per group,
+    # groups of two tails runs, and groups of two psi2 runs.
+    GROUP_BYTES = (montecarlo._GROUP_BYTES, 1, 2 * 16 * 262, 2 * (16 * 262 + 8 * 2_250))
+
+    def test_mc_run_many(self, monkeypatch):
+        runs = [
+            (
+                p,
+                McQueries(
+                    parts=(Part.REAL, Part.IMAG, Part.MODULUS_CENTERED)[: 1 + i % 3],
+                    moment_orders=(1, 3)[: i % 3],
+                    tail_thresholds=(0.0, 0.3 * math.sqrt(p.N), 0.9 * math.sqrt(p.N)),
+                    modulus_center=2.0 + i,
+                ),
+            )
+            for i, p in enumerate(self.POINTS)
+        ]
+        assert len(_units(self.CFG, 1000)) == 11
+        alone = [mc_run(params, queries, self.CFG) for params, queries in runs]
+        # The reference accumulates each batch's chunks one after another.
+        assert alone == [merge_tree(batch_accumulators(p, q, self.CFG)) for p, q in runs]
+        for group_bytes in self.GROUP_BYTES:
+            monkeypatch.setattr(montecarlo, "_GROUP_BYTES", group_bytes)
+            for workers in (1, 3):
+                assert mc_run_many(runs, self.CFG, workers=workers) == alone
+
+    def test_mc_psi2_many(self, monkeypatch):
+        runs = [
+            (p, part, 1.5 if part is Part.MODULUS_CENTERED else None)
+            for p in self.POINTS[1:5]
+            for part in (Part.REAL, Part.MODULUS_CENTERED)
+        ]
+        alone = [
+            (est.norm, est.bracket)
+            for est in (mc_psi2(p, part, self.CFG, 1e-6, center=c) for p, part, c in runs)
+        ]
+        for group_bytes in self.GROUP_BYTES:
+            monkeypatch.setattr(montecarlo, "_GROUP_BYTES", group_bytes)
+            for workers in (1, 3):
+                grouped = mc_psi2_many(runs, self.CFG, 1e-6, workers=workers)
+                assert [(est.norm, est.bracket) for est in grouped] == alone
+
+    def test_shared_draw_is_one_stream_per_n(self, monkeypatch):
+        draws = []
+        real_draw = montecarlo._draw_unit
+
+        def spy(points, seed, unit):
+            draws.append((points[0].N, len(points)))
+            return real_draw(points, seed, unit)
+
+        monkeypatch.setattr(montecarlo, "_draw_unit", spy)
+        runs = [(p, McQueries(parts=(Part.REAL,))) for p in self.POINTS]
+        mc_run_many(runs, self.CFG)
+        assert sorted(draws) == [(12, 2)] * 3 + [(1000, 5)] * 11
+
+    def test_empty_and_invalid(self):
+        assert mc_run_many([], self.CFG) == []
+        assert mc_psi2_many([], self.CFG) == []
+        with pytest.raises(ParameterDomainError):
+            mc_run_many([(PARAMS, McQueries())], self.CFG, workers=0)
+        with pytest.raises(ParameterDomainError):
+            mc_psi2_many([(PARAMS, Part.REAL, None), (PARAMS, Part.COMPLEX, None)], self.CFG)
 
 
 class TestCalibration:

@@ -11,7 +11,8 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 
 # Names that left the package because no command used them; the scalar
 # evaluator and the trigonometric sums live on in tests/scalar_reference.py,
-# the whole-chunk mask draw in tests/mc_reference.py.
+# the whole-chunk mask draw in tests/mc_reference.py; the per-batch loop
+# gave way to chunk units shared by every run with the same N.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound"),
     model: (
@@ -21,6 +22,7 @@ REMOVED = {
     montecarlo: (
         "mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum",
         "DEFAULT_WORK_CEILING", "_check_work", "_draw_masks", "_batch_part_values",
+        "_batch_chunks", "_run_batch",
     ),
     cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
 }
