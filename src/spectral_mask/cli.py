@@ -298,10 +298,12 @@ def _modulus_centers(
     such points (each N drawn once)."""
     if Part.MODULUS_CENTERED not in cfg.parts:
         return [None] * len(points)
-    centers = _map_ordered(
-        lambda p: _exact_mean_modulus(p, cfg) if p.N <= cfg.max_enum_n else None,
-        points,
-        workers,
+    centers = list(
+        _map_ordered(
+            lambda p: _exact_mean_modulus(p, cfg) if p.N <= cfg.max_enum_n else None,
+            points,
+            workers,
+        )
     )
     far = [i for i, center in enumerate(centers) if center is None]
     if far:
@@ -374,8 +376,8 @@ def cmd_tails(cfg: RunConfig) -> int:
             for params, center in zip(points, centers)
         ]
         accs = mc_run_many(runs, mc_cfg, workers=workers)
-    results = _map_ordered(
-        lambda i: _tails_point(points[i], cfg, accs[i]), range(len(points)), workers
+    results = list(
+        _map_ordered(lambda i: _tails_point(points[i], cfg, accs[i]), range(len(points)), workers)
     )
     for files in results:
         for name, rows in files:

@@ -18,7 +18,9 @@ one block at a time into one reused buffer, so besides its runs' chunk
 samples (capped per group by ``_GROUP_BYTES``) a running unit holds one
 draw block (``_BLOCK_ELEMENTS``).  Every accumulator equals the one its run
 gets alone: chunk partials fold in stream order from zero, then batches merge
-in the same tree.
+in the same tree.  Both folds run as results arrive, with at most
+``2 * workers`` units finished but not yet folded, so the memory of
+``mc_run_many`` does not grow with the sample count.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
@@ -34,8 +36,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from statistics import NormalDist
 
 import numpy as np
@@ -81,6 +85,11 @@ _GEMV_SINGLE_THREAD_ELEMENTS = 2304 * 4
 # about 44.7M samples, rather than risk an out-of-memory kill.
 _PSI2_BYTES_PER_SAMPLE = 24
 _PSI2_MAX_BYTES = 1 << 30
+# Up to this many thresholds of a part are counted in one compare pass each;
+# above it one sort of the chunk's |x| serves them all.  Measured over 4096
+# to 262144 samples, the sort wins from 8 to 44 thresholds on.  Both give the
+# same hits.
+_MAX_COUNTED_THRESHOLDS = 16
 
 
 def _splitmix64(x: int) -> int:
@@ -248,12 +257,16 @@ def _accumulate(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> None:
     for part, t in acc.threshold_hits:
         thresholds.setdefault(part, []).append(t)
     for part, ts in thresholds.items():
-        # |x| >= t - tol for all thresholds from one sort: the hits are the
-        # values at or after t - tol's left insertion point.
-        s = np.sort(np.abs(arrays[part]))
-        below = np.searchsorted(s, np.array(ts) - VALUE_GROUPING_TOL, side="left")
-        for t, k in zip(ts, below):
-            acc.threshold_hits[(part, t)] += s.size - int(k)
+        x = np.abs(arrays[part])
+        if len(ts) <= _MAX_COUNTED_THRESHOLDS:
+            hits = [np.count_nonzero(x >= t - VALUE_GROUPING_TOL) for t in ts]
+        else:
+            # |x| >= t - tol for all thresholds from one sort: the hits are
+            # the values at or after t - tol's left insertion point.
+            x.sort()
+            hits = x.size - np.searchsorted(x, np.array(ts) - VALUE_GROUPING_TOL, side="left")
+        for t, k in zip(ts, hits):
+            acc.threshold_hits[(part, t)] += int(k)
 
 
 def merge(a: Accumulator, b: Accumulator) -> Accumulator:
@@ -275,29 +288,47 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     )
 
 
+class _TreeFold:
+    """``merge_tree`` over accumulators pushed one at a time, holding one per
+    level of the tree.
+
+    The tree pairs neighbours layer by layer and carries an odd last node up
+    unmerged.  So a complete subtree of 2^h leaves merges as soon as its last
+    leaf arrives, and at the end the complete subtrees left, largest first,
+    merge from the right: the same additions in the same order.
+    """
+
+    def __init__(self) -> None:
+        self._stack: list[tuple[int, Accumulator]] = []  # (height, subtree)
+
+    def push(self, acc: Accumulator) -> None:
+        height = 0
+        while self._stack and self._stack[-1][0] == height:
+            acc = merge(self._stack.pop()[1], acc)
+            height += 1
+        self._stack.append((height, acc))
+
+    def result(self) -> Accumulator:
+        if not self._stack:
+            raise ParameterDomainError("nothing to merge")
+        acc = self._stack.pop()[1]
+        while self._stack:
+            acc = merge(self._stack.pop()[1], acc)
+        return acc
+
+
 def merge_tree(accs: list[Accumulator]) -> Accumulator:
     """Deterministic binary-tree reduction by batch index."""
-    if not accs:
-        raise ParameterDomainError("nothing to merge")
-    layer = list(accs)
-    while len(layer) > 1:
-        nxt = []
-        for i in range(0, len(layer), 2):
-            if i + 1 < len(layer):
-                nxt.append(merge(layer[i], layer[i + 1]))
-            else:
-                nxt.append(layer[i])
-        layer = nxt
-    return layer[0]
+    fold = _TreeFold()
+    for acc in accs:
+        fold.push(acc)
+    return fold.result()
 
 
-def _batches(cfg: McConfig) -> list[tuple[int, int]]:
+def _batches(cfg: McConfig):
     """(index, size) of every batch of ``cfg``, in order."""
-    full, rem = divmod(cfg.samples, cfg.batch)
-    sizes = [cfg.batch] * full
-    if rem:
-        sizes.append(rem)
-    return list(enumerate(sizes))
+    for b, start in enumerate(range(0, cfg.samples, cfg.batch)):
+        yield b, min(cfg.batch, cfg.samples - start)
 
 
 def _gemv_rows(N: int) -> int:
@@ -336,15 +367,13 @@ def _chunk_plan(rows: int, step: int, block_rows: int):
     yield start, 0, tail
 
 
-def _units(cfg: McConfig, N: int) -> list[tuple[int, int, int]]:
+def _units(cfg: McConfig, N: int):
     """(batch index, start row, rows) of every chunk of ``cfg`` at N, in
     stream order: the units of work."""
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // N)
-    return [
-        (b, start, min(rows_per_chunk, size - start))
-        for b, size in _batches(cfg)
-        for start in range(0, size, rows_per_chunk)
-    ]
+    for b, size in _batches(cfg):
+        for start in range(0, size, rows_per_chunk):
+            yield b, start, min(rows_per_chunk, size - start)
 
 
 def _unit_stream(seed: int, N: int, unit: tuple[int, int, int]) -> np.random.Generator:
@@ -426,18 +455,31 @@ def _groups(params: list[ModelParams], cfg: McConfig, sample_bytes: int) -> list
     return groups
 
 
-def _group_units(groups: list[list[int]], params: list[ModelParams], cfg: McConfig) -> list:
+def _group_units(groups: list[list[int]], params: list[ModelParams], cfg: McConfig):
     """(group, unit) for every unit of every group, in group and stream order."""
-    return [(group, unit) for group in groups for unit in _units(cfg, params[group[0]].N)]
+    for group in groups:
+        for unit in _units(cfg, params[group[0]].N):
+            yield group, unit
 
 
-def _map_ordered(fn, items: list, workers: int) -> list:
-    """``fn(item)`` for every item, returned in item order whichever of up to
-    ``workers`` threads ran it."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _map_ordered(fn, items, workers: int):
+    """``fn(item)`` for every item, yielded in item order whichever of up to
+    ``workers`` threads ran it.  Past the first ``2 * workers`` items, one is
+    submitted only as an earlier result is taken, so at most that many
+    results are pending.  A lone item runs on the calling thread."""
+    items = iter(items)
+    head = list(islice(items, 2))
+    if workers <= 1 or len(head) <= 1:
+        yield from map(fn, chain(head, items))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending: deque = deque()
+        for item in chain(head, items):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _check_workers(workers: int) -> None:
@@ -461,9 +503,8 @@ def mc_run_many(
     """
     _check_workers(workers)
     params = [p for p, _ in runs]
-    tasks = _group_units(_groups(params, cfg, 0), params, cfg)
 
-    def run_unit(task) -> list[Accumulator]:
+    def run_unit(task) -> tuple[list[int], int, list[Accumulator]]:
         group, unit = task
         values = _draw_unit([params[i] for i in group], cfg.seed, unit)
         partials = []
@@ -471,17 +512,25 @@ def mc_run_many(
             acc = Accumulator.zero(*runs[i], cfg)
             _accumulate(acc, *values[(params[i].l, params[i].m)])
             partials.append(acc)
-        return partials
+        return group, unit[1], partials
 
     # A chunk's partial starts from zero as its batch's accumulator does, so
     # folding the partials in stream order adds the same terms in the same
-    # order as accumulating the chunks one after another.
-    per_batch: list[dict] = [{} for _ in runs]
-    for (group, (b, _, _)), partials in zip(tasks, _map_ordered(run_unit, tasks, workers)):
+    # order as accumulating the chunks one after another.  A batch starts at
+    # row 0; the one before it is then complete and joins the batch tree.
+    trees = [_TreeFold() for _ in runs]
+    batch: list = [None] * len(runs)
+    tasks = _group_units(_groups(params, cfg, 0), params, cfg)
+    for group, start, partials in _map_ordered(run_unit, tasks, workers):
         for i, partial in zip(group, partials):
-            accs = per_batch[i]
-            accs[b] = merge(accs[b], partial) if b in accs else partial
-    return [merge_tree(list(accs.values())) for accs in per_batch]
+            if start:
+                partial = merge(batch[i], partial)
+            elif batch[i] is not None:
+                trees[i].push(batch[i])
+            batch[i] = partial
+    for tree, acc in zip(trees, batch):
+        tree.push(acc)
+    return [tree.result() for tree in trees]
 
 
 def mc_run(
@@ -628,7 +677,8 @@ def mc_psi2_many(
                 x = _part_arrays((part,), *values[(p.l, p.m)], center)[part]
                 np.multiply(x, x, out=sq[i][at : at + rows])
 
-        _map_ordered(fill, _group_units(wave, params, cfg), workers)
+        for _ in _map_ordered(fill, _group_units(wave, params, cfg), workers):
+            pass
         # Each run's squares are released once its bisection ends.
         idx = list(sq)
         ests = _map_ordered(lambda i: _psi2_estimate(sq.pop(i), params[i].N, tol), idx, workers)

@@ -5,7 +5,9 @@ atom columns in one product per column, the plain form of what
 ``montecarlo._draw_unit`` computes block by block.  The two agree bit for
 bit wherever this product runs on one BLAS thread (rows x N below 9216, or
 ``OPENBLAS_NUM_THREADS=1``) or its thread split falls on 4-row boundaries.
-``unit_chunks`` gives the engine's side of that comparison.
+``unit_chunks`` gives the engine's side of that comparison, and
+``merge_layers`` the plain form of the batch tree ``montecarlo.merge_tree``
+folds as batches arrive.
 """
 
 from __future__ import annotations
@@ -51,3 +53,15 @@ def unit_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
     for start in range(0, size, rows_per_chunk):
         unit = (batch_index, start, min(rows_per_chunk, size - start))
         yield montecarlo._draw_unit([params], seed, unit)[key]
+
+
+def merge_layers(accs: list) -> montecarlo.Accumulator:
+    """The batch tree layer by layer: neighbours merge pairwise, and an odd
+    last node moves up unmerged."""
+    layer = list(accs)
+    while len(layer) > 1:
+        layer = [
+            montecarlo.merge(*layer[i : i + 2]) if i + 1 < len(layer) else layer[i]
+            for i in range(0, len(layer), 2)
+        ]
+    return layer[0]

@@ -10,7 +10,7 @@ import pytest
 
 import spectral_mask
 from mc_reference import batch_chunks as reference_chunks
-from mc_reference import chunk_part_values, unit_chunks
+from mc_reference import chunk_part_values, merge_layers, unit_chunks
 from spectral_mask import (
     CapabilityError,
     CIMethod,
@@ -135,6 +135,32 @@ class TestMergeAlgebra:
         assert fold.power_sums.keys() == whole.power_sums.keys()
         for key, value in whole.power_sums.items():
             assert fold.power_sums[key] == pytest.approx(value, rel=1e-12, abs=1e-9)
+
+    def test_tree_shape(self):
+        # Power sums spanning 30 orders of magnitude make every
+        # reassociation visible in the bits: the tree folded as batches
+        # arrive equals the layer-by-layer tree for 1 to 70 batches, and a
+        # left fold does not.
+        queries = McQueries(parts=(Part.REAL,), moment_orders=(1,), tail_thresholds=(1.0,))
+        cfg = McConfig(samples=70, seed=0, batch=1)
+        rng = np.random.default_rng(5)
+        folds_differ = 0
+        for count in range(1, 71):
+            accs = []
+            for _ in range(count):
+                acc = Accumulator.zero(PARAMS, queries, cfg)
+                acc.n = 1
+                for key in acc.power_sums:
+                    acc.power_sums[key] = float(rng.normal() * 10.0 ** rng.integers(-15, 15))
+                acc.threshold_hits[(Part.REAL, 1.0)] = int(rng.integers(0, 2))
+                accs.append(acc)
+            tree = merge_tree(accs)
+            assert tree == merge_layers(accs), count
+            fold = accs[0]
+            for acc in accs[1:]:
+                fold = merge(fold, acc)
+            folds_differ += fold != tree
+        assert folds_differ > 30
 
     def test_merge_commutative_and_tolerant(self):
         queries = McQueries(moment_orders=(2,), tail_thresholds=(1.0,))
@@ -272,10 +298,13 @@ class TestPowerSums:
 
 
 class TestThresholdHits:
-    def test_sorted_hits_equal_direct_counts(self):
+    @pytest.mark.parametrize("max_counted", [0, 10**6])
+    def test_sorted_hits_equal_direct_counts(self, monkeypatch, max_counted):
         # Thresholds on the exact outcome values, on sampled values and one
         # tolerance either side of both, some repeated: the hits read from one
-        # sort equal counting |x| >= t - tol per threshold.
+        # sort, and those counted one pass per threshold, equal counting
+        # |x| >= t - tol per threshold.
+        monkeypatch.setattr(montecarlo, "_MAX_COUNTED_THRESHOLDS", max_counted)
         params = ModelParams(6, 1, 3)
         center = 1.25
         parts = (Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED)
@@ -375,7 +404,7 @@ class TestDrawLayout:
         rows_per_chunk = max(1, chunk_elements // N)
         samples = max(12, 5 * rows_per_chunk + 7)
         cfg = McConfig(samples=samples, seed=31, batch=samples // 2 + 1)
-        units = _units(cfg, N)
+        units = list(_units(cfg, N))
         assert len(units) >= 6
         l = min(1, N - 1)
         for m in sorted({1, max(1, N // 3), N}):
@@ -409,6 +438,32 @@ class TestDrawLayout:
         small, large = peak(10_000), peak(50_000)
         assert large < 8 * 2**20
         assert large <= small + 2**16
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_working_set_is_flat_in_chunks_and_batches(self, monkeypatch, workers):
+        # 16-row chunks and 512-sample batches at N = 1024: 256 against 1024
+        # units and 8 against 32 batches.  Folding the partials as they
+        # arrive keeps the peak flat; holding one accumulator per unit until
+        # the end adds about 1.5 MB, and one per batch about 40 KB.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1024 * 16)
+        params = ModelParams(1024, 1, 8)
+        queries = McQueries(
+            parts=(Part.REAL, Part.MODULUS), tail_thresholds=tuple(range(10))
+        )
+
+        def peak(size):
+            cfg = McConfig(samples=size, seed=0, batch=512)
+            assert len(list(_units(cfg, 1024))) == size // 16
+            mc_run(params, queries, McConfig(samples=16, seed=0))  # warm the caches
+            tracemalloc.start()
+            try:
+                mc_run(params, queries, cfg, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4_096), peak(16_384)
+        assert large <= small + 2**14
 
 
 def _cpus() -> int:
@@ -582,10 +637,10 @@ class TestGroupedRuns:
             )
             for i, p in enumerate(self.POINTS)
         ]
-        assert len(_units(self.CFG, 1000)) == 11
+        assert len(list(_units(self.CFG, 1000))) == 11
         alone = [mc_run(params, queries, self.CFG) for params, queries in runs]
         # The reference accumulates each batch's chunks one after another.
-        assert alone == [merge_tree(batch_accumulators(p, q, self.CFG)) for p, q in runs]
+        assert alone == [merge_layers(batch_accumulators(p, q, self.CFG)) for p, q in runs]
         for group_bytes in self.GROUP_BYTES:
             monkeypatch.setattr(montecarlo, "_GROUP_BYTES", group_bytes)
             for workers in (1, 3):
