@@ -30,6 +30,7 @@ from . import __version__, bounds, oracle
 from .errors import ParameterDomainError, SpectralMaskError
 from .model import ModelParams, Part
 from .montecarlo import (
+    MC_ALGORITHM,
     RNG_ALGORITHM,
     Accumulator,
     McConfig,
@@ -105,7 +106,6 @@ class RunConfig:
     n_orders: tuple[int, ...] = _DEFAULT_N_ORDERS
     mc_samples: int = 200_000
     mc_seed: int = 42
-    mc_batch: int = 1 << 18
     mc_confidence: float = 0.99
     output_dir: Path = Path(".")
     suites: tuple[str, ...] = tuple(SUITES)
@@ -128,7 +128,6 @@ class RunConfig:
         return McConfig(
             samples=self.mc_samples,
             seed=self.mc_seed,
-            batch=self.mc_batch,
             confidence=self.mc_confidence,
         )
 
@@ -144,7 +143,6 @@ class RunConfig:
             "mc": {
                 "samples": self.mc_samples,
                 "seed": self.mc_seed,
-                "batch": self.mc_batch,
                 "confidence": self.mc_confidence,
             },
             "output_dir": str(self.output_dir),
@@ -229,8 +227,6 @@ def build_config(data: dict) -> RunConfig:
         kwargs["mc_samples"] = mc["samples"]
     if "seed" in mc:
         kwargs["mc_seed"] = mc["seed"]
-    if "batch" in mc:
-        kwargs["mc_batch"] = mc["batch"]
     if "confidence" in mc:
         kwargs["mc_confidence"] = mc["confidence"]
     if "output_dir" in data:
@@ -310,7 +306,6 @@ def _modulus_centers(
         pre = McConfig(
             samples=cfg.mc_samples,
             seed=_splitmix64(cfg.mc_seed),
-            batch=cfg.mc_batch,
             confidence=cfg.mc_confidence,
         )
         queries = McQueries(parts=(Part.MODULUS,), moment_orders=(1,))
@@ -544,6 +539,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "platform": sys.platform,
         "rng_algorithm": RNG_ALGORITHM,
+        "mc_algorithm": MC_ALGORITHM,
         "law_algorithm": oracle.LAW_ALGORITHM,
     }
 
@@ -553,7 +549,6 @@ def _run_suite(name: str, cfg: RunConfig, workers: int) -> SuiteResult:
         return SUITES[name](
             samples=cfg.mc_samples if cfg.mc_samples > 0 else 200_000,
             seed=cfg.mc_seed,
-            batch=cfg.mc_batch,
             workers_many=max(workers, 2),
             max_enum_n=cfg.max_enum_n,
         )

@@ -1,26 +1,24 @@
 """Streaming Monte Carlo estimators with seeded, mergeable accumulators.
 
-Sampling uses the counter-based Philox generator (``philox4x64-10``): batch b
-draws from an independent substream keyed ``seed XOR splitmix64(b)``, so a
-given config produces bit-identical results no matter how many workers
-computed the batches.  Per-batch accumulators merge in a deterministic binary
-tree by batch index.  The mask-times-atoms products run on the calling
-thread in 4-row-aligned calls, so results do not depend on the BLAS thread
-count either.
+Sampling uses the counter-based Philox generator (``philox4x64-10``): every
+run draws from one stream keyed ``seed XOR splitmix64(0)``, cut into chunks
+of ``_rows_per_chunk(N)`` rows.  The unit of work is one chunk:
+``Philox.advance`` positions the stream at the chunk's first element, so the
+chunks of a run go to separate workers, and each run's chunk results fold
+left to right in stream order as they arrive.  A given config thus produces
+bit-identical results no matter how many workers computed the chunks.  The
+mask-times-atoms products run on the calling thread in 4-row-aligned calls,
+so results do not depend on the BLAS thread count either.
 
-The unit of work is one chunk of one batch: ``Philox.advance`` positions its
-substream at the chunk's first element, so the chunks of a batch run on
-separate workers.  The uniforms depend only on (N, seed, batch), so one
-draw of a chunk serves every run with that N: ``mc_run_many`` and
-``mc_psi2_many`` take many runs at once and share each draw among those
-with the same N, with one threshold compare per distinct m.  Masks are drawn
-one block at a time into one reused buffer, so besides its runs' chunk
-samples (capped per group by ``_GROUP_BYTES``) a running unit holds one
-draw block (``_BLOCK_ELEMENTS``).  Every accumulator equals the one its run
-gets alone: chunk partials fold in stream order from zero, then batches merge
-in the same tree.  Both folds run as results arrive, with at most
-``2 * workers`` units finished but not yet folded, so the memory of
-``mc_run_many`` does not grow with the sample count.
+The uniforms depend only on (N, seed), so one draw of a chunk serves every
+run with that N: ``mc_run_many`` and ``mc_psi2_many`` take many runs at once
+and share each draw among those with the same N, with one threshold compare
+per distinct m.  Masks are drawn one block at a time into one reused buffer,
+so besides its runs' chunk samples (capped per group by ``_GROUP_BYTES``) a
+running unit holds one draw block (``_BLOCK_ELEMENTS``).  Every accumulator
+equals the one its run gets alone.  At most ``2 * workers`` units are
+finished but not yet folded, so the memory of ``mc_run_many`` does not grow
+with the sample count.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
@@ -57,15 +55,21 @@ from .oracle import Psi2Definition, Psi2Estimate, _psi2_bisect
 
 #: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
+#: How draws become samples: one stream per seed, cut into chunks of
+#: ``_rows_per_chunk(N)`` rows whose results fold left to right.  Recorded in
+#: ``summary.json``.
+MC_ALGORITHM = "single-stream-chunk-fold-v1"
 
 _MASK64 = (1 << 64) - 1
-# Elements (samples x N) generated per internal chunk; a fixed function of N
-# only, so chunking never perturbs the stream-to-sample mapping.  The samples
-# equal one matrix-vector product over each whole chunk, whose last
-# ``rows % 4`` rows go through OpenBLAS's tail kernels, so this constant also
-# fixes which rows those are: it is part of the bit contract.  Memory is
-# bounded by ``_BLOCK_ELEMENTS``, not by this.
+# Elements (samples x N) generated per internal chunk, and at most
+# ``_CHUNK_ROWS`` rows; a fixed function of N only, so chunking never perturbs
+# the stream-to-sample mapping.  The samples equal one matrix-vector product
+# over each whole chunk, whose last ``rows % 4`` rows go through OpenBLAS's
+# tail kernels, and the chunk sums fold left to right, so both constants are
+# part of the bit contract.  The row cap keeps a unit's chunk samples (16 B
+# per row) within 4 MiB at small N.
 _CHUNK_ELEMENTS = 1 << 22
+_CHUNK_ROWS = 1 << 18
 # Elements drawn per block, rounded to whole calls of ``_gemv_rows(N)`` rows:
 # a running unit holds 1 MiB of uniforms and the 1 MiB float64 mask buffer it
 # reuses for every block and every m.  No bit depends on it: ``_chunk_plan``
@@ -80,9 +84,10 @@ _GROUP_BYTES = 16 << 20
 # products wake its worker threads, which split the rows off the 4-row
 # kernel boundaries and spin on the cores the point threads need.
 _GEMV_SINGLE_THREAD_ELEMENTS = 2304 * 4
-# mc_psi2 holds 24 B per sample at peak (the squared samples, the probe
-# buffer and the temporary inside ``std``) and refuses runs above 1 GiB,
-# about 44.7M samples, rather than risk an out-of-memory kill.
+# A psi2 run holds 24 B per sample at peak: its squared samples, and while
+# it bisects the probe buffer and the temporary inside ``std``.  One
+# ``mc_psi2_many`` call holds at most 1 GiB of them: it refuses runs above
+# that, about 44.7M samples, and splits its runs into waves that fit.
 _PSI2_BYTES_PER_SAMPLE = 24
 _PSI2_MAX_BYTES = 1 << 30
 # Up to this many thresholds of a part are counted in one compare pass each;
@@ -99,22 +104,16 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _substream(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed ^ _splitmix64(batch_index)))
+def _stream(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed ^ _splitmix64(0)))
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: total draws, seed, batch granularity, CI confidence.
-
-    ``batch`` is clamped to ``samples`` so the defaults stay valid for small
-    runs; batching is part of the reproducibility contract (it fixes the
-    batch-to-substream mapping), so compare like with like.
-    """
+    """Sampling plan: total draws, seed, CI confidence."""
 
     samples: int
     seed: int
-    batch: int = 1 << 18
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
@@ -122,9 +121,6 @@ class McConfig:
             raise ParameterDomainError(f"samples must be a positive integer, got {self.samples!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise ParameterDomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.batch, int) or self.batch < 1:
-            raise ParameterDomainError(f"batch must be a positive integer, got {self.batch!r}")
-        object.__setattr__(self, "batch", min(self.batch, self.samples))
         if not (
             isinstance(self.confidence, float)
             and math.isfinite(self.confidence)
@@ -288,49 +284,6 @@ def merge(a: Accumulator, b: Accumulator) -> Accumulator:
     )
 
 
-class _TreeFold:
-    """``merge_tree`` over accumulators pushed one at a time, holding one per
-    level of the tree.
-
-    The tree pairs neighbours layer by layer and carries an odd last node up
-    unmerged.  So a complete subtree of 2^h leaves merges as soon as its last
-    leaf arrives, and at the end the complete subtrees left, largest first,
-    merge from the right: the same additions in the same order.
-    """
-
-    def __init__(self) -> None:
-        self._stack: list[tuple[int, Accumulator]] = []  # (height, subtree)
-
-    def push(self, acc: Accumulator) -> None:
-        height = 0
-        while self._stack and self._stack[-1][0] == height:
-            acc = merge(self._stack.pop()[1], acc)
-            height += 1
-        self._stack.append((height, acc))
-
-    def result(self) -> Accumulator:
-        if not self._stack:
-            raise ParameterDomainError("nothing to merge")
-        acc = self._stack.pop()[1]
-        while self._stack:
-            acc = merge(self._stack.pop()[1], acc)
-        return acc
-
-
-def merge_tree(accs: list[Accumulator]) -> Accumulator:
-    """Deterministic binary-tree reduction by batch index."""
-    fold = _TreeFold()
-    for acc in accs:
-        fold.push(acc)
-    return fold.result()
-
-
-def _batches(cfg: McConfig):
-    """(index, size) of every batch of ``cfg``, in order."""
-    for b, start in enumerate(range(0, cfg.samples, cfg.batch)):
-        yield b, min(cfg.batch, cfg.samples - start)
-
-
 def _gemv_rows(N: int) -> int:
     """Rows per matrix-vector call: the largest multiple of 4 whose product
     stays on the calling thread, and at least 4.  From N = 2304 on even 4
@@ -367,21 +320,24 @@ def _chunk_plan(rows: int, step: int, block_rows: int):
     yield start, 0, tail
 
 
+def _rows_per_chunk(N: int) -> int:
+    return max(1, min(_CHUNK_ELEMENTS // N, _CHUNK_ROWS))
+
+
 def _units(cfg: McConfig, N: int):
-    """(batch index, start row, rows) of every chunk of ``cfg`` at N, in
-    stream order: the units of work."""
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // N)
-    for b, size in _batches(cfg):
-        for start in range(0, size, rows_per_chunk):
-            yield b, start, min(rows_per_chunk, size - start)
+    """(start row, rows) of every chunk of ``cfg`` at N, in stream order: the
+    units of work."""
+    step = _rows_per_chunk(N)
+    for start in range(0, cfg.samples, step):
+        yield start, min(step, cfg.samples - start)
 
 
-def _unit_stream(seed: int, N: int, unit: tuple[int, int, int]) -> np.random.Generator:
-    """Batch b's substream positioned at the unit's first element e.  Philox
-    yields four 64-bit values per counter step, so advance e // 4 steps and
-    discard e % 4 values."""
-    b, start, _ = unit
-    rng = _substream(seed, b)
+def _unit_stream(seed: int, N: int, unit: tuple[int, int]) -> np.random.Generator:
+    """The stream positioned at the unit's first element e.  Philox yields
+    four 64-bit values per counter step, so advance e // 4 steps and discard
+    e % 4 values."""
+    start, _ = unit
+    rng = _stream(seed)
     e = start * N
     rng.bit_generator.advance(e // 4)
     if e % 4:
@@ -389,7 +345,7 @@ def _unit_stream(seed: int, N: int, unit: tuple[int, int, int]) -> np.random.Gen
     return rng
 
 
-def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int, int]) -> dict:
+def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int]) -> dict:
     """(re, im) of one chunk for every distinct (l, m) of ``points``, which
     share one N, keyed by (l, m), all from one draw.
 
@@ -399,7 +355,7 @@ def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int, int])
     equal one single-threaded product over each whole chunk, whatever BLAS
     thread count is set.
     """
-    N, rows = points[0].N, unit[2]
+    N, rows = points[0].N, unit[1]
     by_m: dict = {}
     for l, m in dict.fromkeys((p.l, p.m) for p in points):
         atoms = atom_table(N, l)
@@ -449,7 +405,7 @@ def _groups(params: list[ModelParams], cfg: McConfig, sample_bytes: int) -> list
         by_n.setdefault(p.N, []).append(i)
     groups = []
     for N, idx in by_n.items():
-        rows = min(max(1, _CHUNK_ELEMENTS // N), cfg.batch)
+        rows = min(_rows_per_chunk(N), cfg.samples)
         size = max(1, _GROUP_BYTES // (16 * rows + sample_bytes * cfg.samples))
         groups += [idx[i : i + size] for i in range(0, len(idx), size)]
     return groups
@@ -504,7 +460,7 @@ def mc_run_many(
     _check_workers(workers)
     params = [p for p, _ in runs]
 
-    def run_unit(task) -> tuple[list[int], int, list[Accumulator]]:
+    def run_unit(task) -> tuple[list[int], list[Accumulator]]:
         group, unit = task
         values = _draw_unit([params[i] for i in group], cfg.seed, unit)
         partials = []
@@ -512,25 +468,16 @@ def mc_run_many(
             acc = Accumulator.zero(*runs[i], cfg)
             _accumulate(acc, *values[(params[i].l, params[i].m)])
             partials.append(acc)
-        return group, unit[1], partials
+        return group, partials
 
-    # A chunk's partial starts from zero as its batch's accumulator does, so
-    # folding the partials in stream order adds the same terms in the same
-    # order as accumulating the chunks one after another.  A batch starts at
-    # row 0; the one before it is then complete and joins the batch tree.
-    trees = [_TreeFold() for _ in runs]
-    batch: list = [None] * len(runs)
+    # Each run's chunk partials fold left to right in stream order; the
+    # first one is the run's accumulator as it stands.
+    accs: list = [None] * len(runs)
     tasks = _group_units(_groups(params, cfg, 0), params, cfg)
-    for group, start, partials in _map_ordered(run_unit, tasks, workers):
+    for group, partials in _map_ordered(run_unit, tasks, workers):
         for i, partial in zip(group, partials):
-            if start:
-                partial = merge(batch[i], partial)
-            elif batch[i] is not None:
-                trees[i].push(batch[i])
-            batch[i] = partial
-    for tree, acc in zip(trees, batch):
-        tree.push(acc)
-    return [tree.result() for tree in trees]
+            accs[i] = partial if accs[i] is None else merge(accs[i], partial)
+    return accs
 
 
 def mc_run(
@@ -544,8 +491,8 @@ def mc_run(
     reduction.
 
     Bit-identical for a given (params, queries, cfg) regardless of
-    ``workers``: batch b always draws from substream seed XOR splitmix64(b)
-    and merging is a fixed binary tree by batch index.
+    ``workers``: the samples always come from the stream keyed
+    seed XOR splitmix64(0), and the chunk sums fold in stream order.
     """
     return mc_run_many([(params, queries)], cfg, workers=workers)[0]
 
@@ -557,6 +504,25 @@ def _check_psi2_bytes(cfg: McConfig) -> None:
             f"psi2 over {cfg.samples} samples would hold {need} B, above the "
             f"{_PSI2_MAX_BYTES} B budget; use fewer samples"
         )
+
+
+def _psi2_waves(groups: list[list[int]], cfg: McConfig, workers: int):
+    """Consecutive groups, at most ``workers`` per wave, whose runs together
+    hold at most ``_PSI2_MAX_BYTES`` when each is charged its peak of
+    ``_PSI2_BYTES_PER_SAMPLE`` per sample.  A wave holds at least one group;
+    a group of several runs keeps at most ``_GROUP_BYTES`` of squares, so it
+    peaks at three times that.  Waves change no bit."""
+    fit = max(1, _PSI2_MAX_BYTES // (_PSI2_BYTES_PER_SAMPLE * cfg.samples))
+    wave: list = []
+    held = 0
+    for group in groups:
+        if wave and (len(wave) == workers or held + len(group) > fit):
+            yield wave
+            wave, held = [], 0
+        wave.append(group)
+        held += len(group)
+    if wave:
+        yield wave
 
 
 def _z_value(confidence: float) -> float:
@@ -647,9 +613,10 @@ def mc_psi2_many(
 
     Runs with the same N read the same stream, so each chunk is drawn once
     for a group of them and fills the squared samples of each.  Groups go in
-    waves of up to ``workers``: the chunks of a wave run on up to
-    ``workers`` threads, then its runs bisect, one per thread.  Each estimate
-    equals the one ``mc_psi2`` returns for its run alone.
+    waves (``_psi2_waves``) that hold at most ``_PSI2_MAX_BYTES`` together:
+    the chunks of a wave run on up to ``workers`` threads, then its runs
+    bisect, one per thread.  Each estimate equals the one ``mc_psi2`` returns
+    for its run alone.
     """
     for params, part, center in runs:
         if part not in REAL_VALUED_PARTS:
@@ -663,19 +630,17 @@ def mc_psi2_many(
     params = [p for p, _, _ in runs]
     groups = _groups(params, cfg, 8)
     out: list = [None] * len(runs)
-    for w in range(0, len(groups), workers):
-        wave = groups[w : w + workers]
+    for wave in _psi2_waves(groups, cfg, workers):
         sq = {i: np.empty(cfg.samples) for group in wave for i in group}
 
         def fill(task) -> None:
             group, unit = task
-            b, start, rows = unit
+            start, rows = unit
             values = _draw_unit([params[i] for i in group], cfg.seed, unit)
-            at = b * cfg.batch + start
             for i in group:
                 p, part, center = runs[i]
                 x = _part_arrays((part,), *values[(p.l, p.m)], center)[part]
-                np.multiply(x, x, out=sq[i][at : at + rows])
+                np.multiply(x, x, out=sq[i][start : start + rows])
 
         for _ in _map_ordered(fill, _group_units(wave, params, cfg), workers):
             pass
@@ -702,7 +667,7 @@ def mc_psi2(
     bisection sees a monotone objective.  The returned bracket is widened by
     the objective's sampling noise at the root through its local slope; it is
     a diagnostic, not a certified enclosure.  Only the squared samples are
-    kept, plus one buffer every probe reuses: 24 B per sample, so runs above
-    ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
+    kept, plus one buffer every probe reuses: 24 B per sample at peak, so
+    runs above ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
     """
     return mc_psi2_many([(params, part, center)], cfg, tol, workers=workers)[0]

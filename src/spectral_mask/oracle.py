@@ -519,17 +519,20 @@ def exact_psi2_norm(
     )
 
 
+# The moment-sup norm scans this many log-spaced orders p on [1, 200].
+_MOMENT_P_MAX = 200.0
+_MOMENT_GRID = 64
+
+
 def exact_psi2_moment_norm(
     params: ModelParams,
     part: Part,
-    p_max: float = 200.0,
-    grid: int = 64,
     *,
     max_enum_n: int = DEFAULT_ENUM_GUARD,
 ) -> Psi2Estimate:
     """sup over p >= 1 of p^(-1/2) E[|X|^p]^(1/p).
 
-    Scans a log-spaced grid on [1, p_max], then refines around the best grid
+    Scans a log-spaced grid on [1, 200], then refines around the best grid
     point with golden-section search.  g(p) -> 0 as p -> inf for bounded X,
     so the supremum is interior or at p = 1; local unimodality around the
     best grid point is assumed (observed, not proved) and the reported
@@ -537,10 +540,6 @@ def exact_psi2_moment_norm(
     interval.
     """
     _require_real_part(part)
-    if not (np.isfinite(p_max) and p_max >= 1.0):
-        raise ParameterDomainError(f"p_max must be >= 1, got {p_max!r}")
-    if not isinstance(grid, int) or grid < 2:
-        raise ParameterDomainError(f"grid must be an integer >= 2, got {grid!r}")
     values, probs = _dist_arrays(params, part, max_enum_n)
     absv = np.abs(values)
     nz = absv > VALUE_GROUPING_TOL
@@ -555,12 +554,12 @@ def exact_psi2_moment_norm(
         lse = peak + math.log(float(np.exp(logs - peak).sum()))
         return math.exp(lse / p) / math.sqrt(p)
 
-    ps = np.geomspace(1.0, p_max, grid)
+    ps = np.geomspace(1.0, _MOMENT_P_MAX, _MOMENT_GRID)
     gs = np.array([g(p) for p in ps])
     i = int(np.argmax(gs))
     best = float(gs[i])
     a = float(ps[max(i - 1, 0)])
-    b = float(ps[min(i + 1, grid - 1)])
+    b = float(ps[min(i + 1, _MOMENT_GRID - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     if b > a:
         c = b - invphi * (b - a)

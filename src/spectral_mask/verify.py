@@ -66,11 +66,11 @@ class SuiteResult:
         }
 
 
-def criterion_params(n_lo: int = 3, n_hi: int = 12) -> list[ModelParams]:
-    """The exhaustive small grid: N in [n_lo, n_hi], l in [1, N-1] with
-    N != 2l, m in [1, N]."""
+def criterion_params() -> list[ModelParams]:
+    """The exhaustive small grid: N in [3, 12], l in [1, N-1] with N != 2l,
+    m in [1, N]."""
     grid = []
-    for N in range(n_lo, n_hi + 1):
+    for N in range(3, 13):
         for l in range(1, N):
             if N == 2 * l:
                 continue
@@ -79,9 +79,9 @@ def criterion_params(n_lo: int = 3, n_hi: int = 12) -> list[ModelParams]:
     return grid
 
 
-def t_grid(N: int, points: int = 50, span: float = 2.0) -> np.ndarray:
-    """Sqrt-N-scaled thresholds t_i = (i/points) * span * sqrt(N), i = 0..points-1."""
-    return (np.arange(points) / points) * span * math.sqrt(N)
+def t_grid(N: int) -> np.ndarray:
+    """Sqrt-N-scaled thresholds t_i = (i/50) * 2 * sqrt(N), i = 0..49."""
+    return (np.arange(50) / 50) * 2.0 * math.sqrt(N)
 
 
 def suite_moments(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
@@ -166,9 +166,7 @@ def suite_special_forms(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteRes
     return res
 
 
-def suite_tails(
-    max_enum_n: int = oracle.DEFAULT_ENUM_GUARD, points: int = 50
-) -> SuiteResult:
+def suite_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     """Hard domination of exact tails by the three bounded-difference bounds."""
     res = SuiteResult("tails", slack_kind="min_bound_minus_exact")
     cases = (
@@ -177,7 +175,7 @@ def suite_tails(
         (Part.MODULUS_CENTERED, bounds.tail_bound_mod),
     )
     for params in criterion_params():
-        ts = t_grid(params.N, points)
+        ts = t_grid(params.N)
         for part, bound_fn in cases:
             exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
             for t, ex in zip(ts, exact):
@@ -191,9 +189,7 @@ def suite_tails(
     return res
 
 
-def suite_entropy_tails(
-    max_enum_n: int = oracle.DEFAULT_ENUM_GUARD, points: int = 50
-) -> SuiteResult:
+def suite_entropy_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     """Verification of the externally cited entropy bound and its combined form.
 
     These are checked, not trusted: any violation on this grid fails the
@@ -203,7 +199,7 @@ def suite_entropy_tails(
     for params in criterion_params():
         if 2 * params.m >= params.N:
             continue
-        ts = t_grid(params.N, points)
+        ts = t_grid(params.N)
         for part in (Part.REAL, Part.IMAG):
             exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
             for t, ex in zip(ts, exact):
@@ -316,14 +312,12 @@ def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResu
     return res
 
 
-def suite_psi2(
-    max_enum_n: int = oracle.DEFAULT_ENUM_GUARD, tol: float = 1e-10
-) -> SuiteResult:
+def suite_psi2(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     """psi2 chain: oracle norms under the closed-form bounds, plus the
     analytic three-point closed case."""
     res = SuiteResult("psi2", slack_kind="min_bound_minus_exact")
     for params in criterion_params():
-        est = oracle.exact_psi2_norm(params, Part.REAL, tol, max_enum_n=max_enum_n)
+        est = oracle.exact_psi2_norm(params, Part.REAL, 1e-10, max_enum_n=max_enum_n)
         upper = bounds.psi2_upper(params.N)
         res.track_slack(upper - est.norm)
         res.check(
@@ -368,18 +362,18 @@ def suite_psi2(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def quadrature_q(x: float, length: float = 40.0) -> float:
+def quadrature_q(x: float) -> float:
     """Independent Q oracle: composite 64-node Gauss-Legendre quadrature of
-    the normal density over [x, x + length]; the truncated tail is below
-    exp(-(x + length)^2 / 2) and negligible for length >= 40."""
-    panels = np.arange(int(math.ceil(length)))
+    the normal density over [x, x + 40] in unit panels; the truncated tail
+    is below exp(-(x + 40)^2 / 2), negligible."""
+    panels = np.arange(40)
     mids = x + panels + 0.5
     pts = mids[:, None] + 0.5 * _GL_NODES[None, :]
     dens = np.exp(-0.5 * pts * pts) / math.sqrt(2.0 * math.pi)
     return float(0.5 * np.sum(dens @ _GL_WEIGHTS))
 
 
-def suite_qfunction(points: int = 100) -> SuiteResult:
+def suite_qfunction() -> SuiteResult:
     """Q accuracy against quadrature, strict sandwich, Q-form domination."""
     res = SuiteResult("qfunction", slack_kind="min_bound_minus_exact")
     q1 = bounds.q_function(1.0)
@@ -390,7 +384,7 @@ def suite_qfunction(points: int = 100) -> SuiteResult:
         abs(q1 - ref1) <= 1e-10,
         f"Q(1) = {q1!r} differs from quadrature {ref1!r} beyond 1e-10",
     )
-    xs = np.geomspace(1e-3, 10.0, points)
+    xs = np.geomspace(1e-3, 10.0, 100)
     worst_rel = 0.0
     for x in xs:
         q = bounds.q_function(float(x))
@@ -418,7 +412,6 @@ def suite_qfunction(points: int = 100) -> SuiteResult:
 def suite_montecarlo(
     samples: int = 1_000_000,
     seed: int = 42,
-    batch: int = 1 << 18,
     workers_many: int = 8,
     max_enum_n: int = oracle.DEFAULT_ENUM_GUARD,
 ) -> SuiteResult:
@@ -427,7 +420,7 @@ def suite_montecarlo(
     runs and worker counts."""
     res = SuiteResult("montecarlo")
     params = ModelParams(12, 5, 4)
-    cfg = McConfig(samples=samples, seed=seed, batch=batch)
+    cfg = McConfig(samples=samples, seed=seed)
     queries = McQueries(parts=(Part.REAL,), moment_orders=(2,), tail_thresholds=(1.0,))
     acc = mc_run(params, queries, cfg, workers=1)
     acc_again = mc_run(params, queries, cfg, workers=1)

@@ -1,13 +1,14 @@
-"""Whole-chunk reference for the Monte Carlo draw.
+"""Whole-chunk, one-stream reference for the Monte Carlo draw.
 
-Each chunk's masks are drawn as one (rows, N) matrix and multiplied by the
-atom columns in one product per column, the plain form of what
-``montecarlo._draw_unit`` computes block by block.  The two agree bit for
-bit wherever this product runs on one BLAS thread (rows x N below 9216, or
+A run's samples come from one Philox stream keyed ``seed XOR
+splitmix64(0)``, drawn from its start in chunks of
+``montecarlo._rows_per_chunk(N)`` rows.  Each chunk's masks are drawn as one
+(rows, N) matrix and multiplied by the atom columns in one product per
+column, the plain form of what ``montecarlo._draw_unit`` computes block by
+block on a stream positioned at the chunk.  The two agree bit for bit
+wherever this product runs on one BLAS thread (rows x N below 9216, or
 ``OPENBLAS_NUM_THREADS=1``) or its thread split falls on 4-row boundaries.
-``unit_chunks`` gives the engine's side of that comparison, and
-``merge_layers`` the plain form of the batch tree ``montecarlo.merge_tree``
-folds as batches arrive.
+``unit_chunks`` gives the engine's side of that comparison.
 """
 
 from __future__ import annotations
@@ -37,31 +38,25 @@ def chunk_part_values(
     return incl @ np.ascontiguousarray(atoms.real), incl @ np.ascontiguousarray(atoms.imag)
 
 
-def batch_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
-    """The (re, im) chunks of one batch, chunked as ``_CHUNK_ELEMENTS`` says."""
-    rng = montecarlo._substream(seed, batch_index)
-    rows_per_chunk = max(1, montecarlo._CHUNK_ELEMENTS // params.N)
-    for start in range(0, size, rows_per_chunk):
-        yield chunk_part_values(params, rng, min(rows_per_chunk, size - start))
+def stream(seed: int) -> np.random.Generator:
+    """The one stream every run of ``seed`` draws from."""
+    return np.random.Generator(np.random.Philox(key=seed ^ montecarlo._splitmix64(0)))
 
 
-def unit_chunks(params: ModelParams, seed: int, batch_index: int, size: int):
+def stream_chunks(params: ModelParams, seed: int, samples: int):
+    """The (re, im) chunks of a run of ``samples`` samples, drawn in order
+    from one sequential stream."""
+    rng = stream(seed)
+    rows_per_chunk = montecarlo._rows_per_chunk(params.N)
+    for start in range(0, samples, rows_per_chunk):
+        yield chunk_part_values(params, rng, min(rows_per_chunk, samples - start))
+
+
+def unit_chunks(params: ModelParams, seed: int, samples: int):
     """The same chunks drawn by the engine, each unit on its own positioned
     stream, as ``montecarlo._draw_unit`` yields them."""
-    rows_per_chunk = max(1, montecarlo._CHUNK_ELEMENTS // params.N)
+    rows_per_chunk = montecarlo._rows_per_chunk(params.N)
     key = (params.l, params.m)
-    for start in range(0, size, rows_per_chunk):
-        unit = (batch_index, start, min(rows_per_chunk, size - start))
+    for start in range(0, samples, rows_per_chunk):
+        unit = (start, min(rows_per_chunk, samples - start))
         yield montecarlo._draw_unit([params], seed, unit)[key]
-
-
-def merge_layers(accs: list) -> montecarlo.Accumulator:
-    """The batch tree layer by layer: neighbours merge pairwise, and an odd
-    last node moves up unmerged."""
-    layer = list(accs)
-    while len(layer) > 1:
-        layer = [
-            montecarlo.merge(*layer[i : i + 2]) if i + 1 < len(layer) else layer[i]
-            for i in range(0, len(layer), 2)
-        ]
-    return layer[0]

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 import spectral_mask
-from spectral_mask import bounds, cli
+from spectral_mask import bounds, cli, montecarlo
 from spectral_mask.cli import (
     CROSSOVER_HEADER,
     PSI2_HEADER,
@@ -119,7 +119,7 @@ class TestMainEntry:
         path = write_config(
             tmp_path,
             {
-                "mc": {"samples": 7, "seed": 1, "batch": 3},
+                "mc": {"samples": 7, "seed": 1, "confidence": 0.95},
                 "suites": ["moments"],
                 "max_enum_n": 20,
                 "output_dir": str(tmp_path / "elsewhere"),
@@ -131,10 +131,17 @@ class TestMainEntry:
         ]
         assert cli.main(argv) == 0
         config = json.loads((tmp_path / "summary.json").read_text())["config"]
-        assert config["mc"] == {"samples": 0, "seed": 9, "batch": 3, "confidence": 0.99}
+        assert config["mc"] == {"samples": 0, "seed": 9, "confidence": 0.95}
         assert config["suites"] == ["crossover", "qfunction"]
         assert config["max_enum_n"] == 6
         assert config["output_dir"] == str(tmp_path)
+
+    def test_mc_batch_rejected(self, tmp_path, capsys):
+        # Every run draws one stream, so the schema has no batch size.
+        path = write_config(tmp_path, {"mc": {"samples": 1_000, "batch": 500}})
+        for command in ("verify", "tails", "psi2"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+            assert "batch" in capsys.readouterr().err
 
     def test_unknown_formula_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +179,7 @@ class TestVerifyCommand:
         jsonschema.validate(summary, shipped_schema("summary.schema.json"))
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
+        assert summary["environment"]["mc_algorithm"] == "single-stream-chunk-fold-v1"
         assert summary["environment"]["law_algorithm"] == "atom-convolution-v1"
         assert summary["environment"]["package_version"] == spectral_mask.__version__
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}
@@ -294,9 +302,10 @@ class TestTailsCommand:
 
 
 class TestWorkerInvariance:
-    def test_tails_and_psi2_bytes_independent_of_workers(self, tmp_path):
+    def test_tails_and_psi2_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         # N above the guard: the centering pass and mc_psi2 both run, over
-        # several batches, for two points at once.
+        # six 1000-row chunks, for two points at once.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 6 * 1_000)
         outputs = {}
         for workers in (1, 3):
             path = write_config(
@@ -306,7 +315,7 @@ class TestWorkerInvariance:
                     "l_grid": [1],
                     "m_grid": [2, 3],
                     "parts": ["real", "modulus_centered"],
-                    "mc": {"samples": 6_000, "seed": 4, "batch": 1_000},
+                    "mc": {"samples": 6_000, "seed": 4},
                     "workers": workers,
                 },
             )
@@ -322,8 +331,8 @@ class TestWorkerInvariance:
 
 
     def test_shared_draws_bytes_independent_of_workers(self, tmp_path):
-        # Above the guard at N = 256: two batches of two chunks each, shared
-        # by six points in the centering, tails and psi2 passes.
+        # Above the guard at N = 256: three chunks, shared by six points in
+        # the centering, tails and psi2 passes.
         outputs = {}
         for workers in (1, 3):
             path = write_config(
@@ -333,7 +342,7 @@ class TestWorkerInvariance:
                     "l_grid": [1, 5],
                     "m_grid": [8, 32, 128],
                     "parts": ["real", "modulus_centered"],
-                    "mc": {"samples": 36_000, "seed": 6, "batch": 18_000},
+                    "mc": {"samples": 36_000, "seed": 6},
                     "workers": workers,
                 },
             )

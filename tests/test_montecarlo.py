@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import spectral_mask
-from mc_reference import batch_chunks as reference_chunks
-from mc_reference import chunk_part_values, merge_layers, unit_chunks
+from mc_reference import chunk_part_values, stream, stream_chunks, unit_chunks
 from spectral_mask import (
     CapabilityError,
     CIMethod,
@@ -30,19 +29,15 @@ from spectral_mask import (
     mc_run_many,
     mc_tail,
     merge,
-    merge_tree,
     psi2_sup_upper,
 )
 from spectral_mask import montecarlo
 from spectral_mask.model import VALUE_GROUPING_TOL
 from spectral_mask.montecarlo import (
-    _CHUNK_ELEMENTS,
     Accumulator,
     _accumulate,
-    _batches,
     _chunk_plan,
     _draw_unit,
-    _substream,
     _units,
     _z_value,
 )
@@ -51,34 +46,37 @@ from spectral_mask.oracle import _psi2_bisect
 PARAMS = ModelParams(8, 1, 4)
 
 
-def run(samples=50_000, seed=7, batch=8_192, queries=None, **kwargs):
+def run(samples=50_000, seed=7, queries=None, **kwargs):
     queries = queries or McQueries(tail_thresholds=(0.0, 1.0, 9.0))
-    return mc_run(PARAMS, queries, McConfig(samples=samples, seed=seed, batch=batch), **kwargs)
+    return mc_run(PARAMS, queries, McConfig(samples=samples, seed=seed), **kwargs)
 
 
-def batch_accumulators(params, queries, cfg):
-    """One accumulator per batch of ``cfg``, filled chunk by chunk."""
+def chunk_accumulators(params, queries, cfg):
+    """One accumulator per chunk of the one-stream reference of ``cfg``."""
     accs = []
-    for b, size in _batches(cfg):
+    for re, im in stream_chunks(params, cfg.seed, cfg.samples):
         acc = Accumulator.zero(params, queries, cfg)
-        for re, im in unit_chunks(params, cfg.seed, b, size):
-            _accumulate(acc, re, im)
+        _accumulate(acc, re, im)
         accs.append(acc)
     return accs
 
 
-class TestConfigValidation:
-    def test_batch_clamped_to_samples(self):
-        cfg = McConfig(samples=10, seed=0)
-        assert cfg.batch == 10
+def fold(accs):
+    """Left fold in stream order."""
+    total = accs[0]
+    for acc in accs[1:]:
+        total = merge(total, acc)
+    return total
 
+
+class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"samples": 0, "seed": 0},
             {"samples": 10, "seed": -1},
             {"samples": 10, "seed": 2**64},
-            {"samples": 10, "seed": 0, "batch": 0},
+            {"samples": 10.0, "seed": 0},
             {"samples": 10, "seed": 0, "confidence": 1.0},
             {"samples": 10, "seed": 0, "confidence": 0.0},
         ],
@@ -108,80 +106,84 @@ class TestReproducibility:
     def test_bit_identical_repeat_runs(self):
         assert run() == run()
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        # Seven chunks of 8192 rows, so the workers share the run.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 8 * 8_192)
+        assert len(list(_units(McConfig(samples=50_000, seed=7), 8))) == 7
         assert run(workers=1) == run(workers=3) == run(workers=8)
 
     def test_seed_sensitivity(self):
         assert run(seed=7) != run(seed=8)
 
 
+class TestSingleStream:
+    """A run draws one stream from its start, however many chunks and
+    samples it spans."""
+
+    def test_chunks_cap_rows(self):
+        # 2^22 elements per chunk, but at most 2^18 rows.
+        cfg = McConfig(samples=2**18 + 3, seed=0)
+        assert list(_units(cfg, 8)) == [(0, 2**18), (2**18, 3)]
+        assert list(_units(cfg, 1024))[-1] == (64 * 4096, 3)
+
+    def test_long_run_is_the_fold_of_one_stream(self, monkeypatch):
+        # 1000-row chunks at N = 5: 263 of them and more than 2^18 samples,
+        # each reference product small enough for one BLAS thread.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 5 * 1_000)
+        params = ModelParams(5, 2, 2)
+        queries = McQueries(
+            parts=(Part.REAL, Part.MODULUS), moment_orders=(1, 3), tail_thresholds=(0.5, 1.5)
+        )
+        cfg = McConfig(samples=2**18 + 7, seed=19)
+        accs = chunk_accumulators(params, queries, cfg)
+        assert len(accs) == len(list(_units(cfg, params.N))) == 263
+        want = fold(accs)
+        assert want.n == cfg.samples
+        for workers in (1, 3, 8):
+            assert mc_run(params, queries, cfg, workers=workers) == want
+
+
 class TestMergeAlgebra:
-    def test_merge_matches_single_pass(self):
-        # The per-batch accumulators of a four-batch run, merged as the run's
-        # tree and as a left fold, agree with mc_run: hits exactly, power
-        # sums up to reassociation of four terms.
+    def test_merge_matches_single_pass(self, monkeypatch):
+        # The chunk accumulators of a four-chunk run, folded left to right,
+        # are mc_run's result bit for bit; merged as a balanced tree they
+        # agree with it: hits exactly, power sums up to reassociation of four
+        # terms.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 8 * 11_000)
         queries = McQueries(moment_orders=(1, 2), tail_thresholds=(0.5, 1.0, 2.0))
-        cfg = McConfig(samples=40_000, seed=3, batch=11_000)
-        accs = batch_accumulators(PARAMS, queries, cfg)
+        cfg = McConfig(samples=40_000, seed=3)
+        accs = chunk_accumulators(PARAMS, queries, cfg)
         assert len(accs) == 4
         whole = mc_run(PARAMS, queries, cfg)
-        tree = merge_tree(accs)
-        assert tree == whole
-        fold = accs[0]
-        for acc in accs[1:]:
-            fold = merge(fold, acc)
-        assert fold.n == whole.n == cfg.samples
-        assert fold.threshold_hits == whole.threshold_hits
-        assert fold.power_sums.keys() == whole.power_sums.keys()
+        assert fold(accs) == whole
+        tree = merge(merge(accs[0], accs[1]), merge(accs[2], accs[3]))
+        assert tree.n == whole.n == cfg.samples
+        assert tree.threshold_hits == whole.threshold_hits
+        assert tree.power_sums.keys() == whole.power_sums.keys()
         for key, value in whole.power_sums.items():
-            assert fold.power_sums[key] == pytest.approx(value, rel=1e-12, abs=1e-9)
+            assert tree.power_sums[key] == pytest.approx(value, rel=1e-12, abs=1e-9)
 
-    def test_tree_shape(self):
-        # Power sums spanning 30 orders of magnitude make every
-        # reassociation visible in the bits: the tree folded as batches
-        # arrive equals the layer-by-layer tree for 1 to 70 batches, and a
-        # left fold does not.
-        queries = McQueries(parts=(Part.REAL,), moment_orders=(1,), tail_thresholds=(1.0,))
-        cfg = McConfig(samples=70, seed=0, batch=1)
-        rng = np.random.default_rng(5)
-        folds_differ = 0
-        for count in range(1, 71):
-            accs = []
-            for _ in range(count):
-                acc = Accumulator.zero(PARAMS, queries, cfg)
-                acc.n = 1
-                for key in acc.power_sums:
-                    acc.power_sums[key] = float(rng.normal() * 10.0 ** rng.integers(-15, 15))
-                acc.threshold_hits[(Part.REAL, 1.0)] = int(rng.integers(0, 2))
-                accs.append(acc)
-            tree = merge_tree(accs)
-            assert tree == merge_layers(accs), count
-            fold = accs[0]
-            for acc in accs[1:]:
-                fold = merge(fold, acc)
-            folds_differ += fold != tree
-        assert folds_differ > 30
-
-    def test_merge_commutative_and_tolerant(self):
+    def test_merge_commutative_and_tolerant(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 8 * 10_000)
         queries = McQueries(moment_orders=(2,), tail_thresholds=(1.0,))
-        cfg = McConfig(samples=30_000, seed=11, batch=10_000)
-        accs = batch_accumulators(PARAMS, queries, cfg)
+        cfg = McConfig(samples=30_000, seed=11)
+        accs = chunk_accumulators(PARAMS, queries, cfg)
         ab = merge(accs[0], accs[1])
         ba = merge(accs[1], accs[0])
         assert ab == ba  # float addition of two terms is commutative
-        total = merge_tree(accs)
-        left_fold = merge(merge(accs[0], accs[1]), accs[2])
-        assert total.n == left_fold.n == 30_000
+        right_fold = merge(accs[0], merge(accs[1], accs[2]))
+        left_fold = fold(accs)
+        assert right_fold.n == left_fold.n == 30_000
         key = (Part.REAL, 2)
-        assert total.power_sums[key] == pytest.approx(left_fold.power_sums[key], rel=1e-10)
-        assert total.threshold_hits == left_fold.threshold_hits
+        assert right_fold.power_sums[key] == pytest.approx(left_fold.power_sums[key], rel=1e-10)
+        assert right_fold.threshold_hits == left_fold.threshold_hits
 
     def test_merge_rejects_mismatched_runs(self):
-        a = run(samples=1_000, batch=1_000)
+        a = run(samples=1_000)
         b = mc_run(
             ModelParams(8, 2, 4),
             McQueries(tail_thresholds=(0.0, 1.0, 9.0)),
-            McConfig(samples=1_000, seed=7, batch=1_000),
+            McConfig(samples=1_000, seed=7),
         )
         with pytest.raises(ParameterDomainError):
             merge(a, b)
@@ -219,7 +221,7 @@ class TestEstimates:
 
     def test_registered_higher_moment(self):
         queries = McQueries(moment_orders=(3,))
-        acc = mc_run(PARAMS, queries, McConfig(samples=100_000, seed=5, batch=50_000))
+        acc = mc_run(PARAMS, queries, McConfig(samples=100_000, seed=5))
         est = mc_moment(acc, Part.REAL, 3)
         assert est.covers(exact_moment(PARAMS, Part.REAL, 3))
 
@@ -233,7 +235,7 @@ class TestEstimates:
         acc = mc_run(
             params,
             McQueries(moment_orders=(2,), tail_thresholds=(0.5,)),
-            McConfig(samples=10_000, seed=1, batch=10_000),
+            McConfig(samples=10_000, seed=1),
         )
         assert mc_tail(acc, Part.REAL, 0.5).estimate == 0.0
         assert acc.power_sums[(Part.REAL, 2)] <= 1e-20
@@ -247,7 +249,7 @@ class TestEstimates:
             tail_thresholds=(1.0,),
             modulus_center=center,
         )
-        acc = mc_run(params, queries, McConfig(samples=200_000, seed=9, batch=65_536))
+        acc = mc_run(params, queries, McConfig(samples=200_000, seed=9))
         est = mc_tail(acc, Part.MODULUS_CENTERED, 1.0)
         assert est.covers(exact_tail(params, Part.MODULUS_CENTERED, 1.0))
 
@@ -257,11 +259,11 @@ class TestPowerSums:
         params = ModelParams(8, 3, 3)
         parts = (Part.IMAG, Part.MODULUS_CENTERED)
         queries = McQueries(parts=parts, moment_orders=(1, 2, 3), modulus_center=1.25)
-        # One batch of one chunk, so each sum is a single reduction.
-        cfg = McConfig(samples=5_000, seed=17, batch=5_000)
+        # One chunk, so each sum is a single reduction.
+        cfg = McConfig(samples=5_000, seed=17)
         acc = mc_run(params, queries, cfg)
         assert set(acc.power_sums) == {(p, k) for p in parts for k in (1, 2, 3, 4, 6)}
-        re, im = chunk_part_values(params, _substream(cfg.seed, 0), cfg.samples)
+        re, im = chunk_part_values(params, stream(cfg.seed), cfg.samples)
         samples = {Part.IMAG: im, Part.MODULUS_CENTERED: np.hypot(re, im) - 1.25}
         z = _z_value(cfg.confidence)
         for part, x in samples.items():
@@ -308,7 +310,7 @@ class TestThresholdHits:
         params = ModelParams(6, 1, 3)
         center = 1.25
         parts = (Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED)
-        re, im = chunk_part_values(params, _substream(4, 0), 3_000)
+        re, im = chunk_part_values(params, stream(4), 3_000)
         samples = {
             Part.REAL: re,
             Part.IMAG: im,
@@ -341,9 +343,9 @@ class TestDrawLayout:
     below 9216)."""
 
     @staticmethod
-    def assert_matches_reference(params, size, seed=29, batch_index=2):
-        got = list(unit_chunks(params, seed, batch_index, size))
-        want = list(reference_chunks(params, seed, batch_index, size))
+    def assert_matches_reference(params, size, seed=29):
+        got = list(unit_chunks(params, seed, size))
+        want = list(stream_chunks(params, seed, size))
         assert len(got) == len(want)
         for (re, im), (ref_re, ref_im) in zip(got, want):
             assert re.tobytes() == ref_re.tobytes()
@@ -366,7 +368,7 @@ class TestDrawLayout:
     def test_many_blocks_and_chunks(self, monkeypatch, threshold, m):
         # Shrunk constants give 16- and 4-row calls, several 48- and 60-row
         # blocks per chunk and an odd chunk size (200 rows of N = 5), so one
-        # batch spans many chunks and every tail shape while each reference
+        # run spans many chunks and every tail shape while each reference
         # product stays small enough for one BLAS thread.
         monkeypatch.setattr(montecarlo, "_GEMV_SINGLE_THREAD_ELEMENTS", threshold)
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 300)
@@ -403,23 +405,18 @@ class TestDrawLayout:
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
         rows_per_chunk = max(1, chunk_elements // N)
         samples = max(12, 5 * rows_per_chunk + 7)
-        cfg = McConfig(samples=samples, seed=31, batch=samples // 2 + 1)
+        cfg = McConfig(samples=samples, seed=31)
         units = list(_units(cfg, N))
         assert len(units) >= 6
         l = min(1, N - 1)
         for m in sorted({1, max(1, N // 3), N}):
             params = ModelParams(N, l, m)
-            want = {
-                (b, start): chunk
-                for b, size in _batches(cfg)
-                for start, chunk in zip(
-                    range(0, size, rows_per_chunk),
-                    reference_chunks(params, cfg.seed, b, size),
-                )
-            }
+            want = dict(
+                zip(range(0, samples, rows_per_chunk), stream_chunks(params, cfg.seed, samples))
+            )
             for unit in reversed(units):
                 re, im = _draw_unit([params], cfg.seed, unit)[(l, m)]
-                ref_re, ref_im = want[unit[:2]]
+                ref_re, ref_im = want[unit[0]]
                 assert re.tobytes() == ref_re.tobytes()
                 assert im.tobytes() == ref_im.tobytes()
 
@@ -441,10 +438,9 @@ class TestDrawLayout:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_working_set_is_flat_in_chunks_and_batches(self, monkeypatch, workers):
-        # 16-row chunks and 512-sample batches at N = 1024: 256 against 1024
-        # units and 8 against 32 batches.  Folding the partials as they
-        # arrive keeps the peak flat; holding one accumulator per unit until
-        # the end adds about 1.5 MB, and one per batch about 40 KB.
+        # 16-row chunks at N = 1024: 256 against 1024 units.  Folding the
+        # partials as they arrive keeps the peak flat; holding one
+        # accumulator per unit until the end adds about 1.5 MB.
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1024 * 16)
         params = ModelParams(1024, 1, 8)
         queries = McQueries(
@@ -452,7 +448,7 @@ class TestDrawLayout:
         )
 
         def peak(size):
-            cfg = McConfig(samples=size, seed=0, batch=512)
+            cfg = McConfig(samples=size, seed=0)
             assert len(list(_units(cfg, 1024))) == size // 16
             mc_run(params, queries, McConfig(samples=16, seed=0))  # warm the caches
             tracemalloc.start()
@@ -472,7 +468,7 @@ def _cpus() -> int:
 
 _HASH_SCRIPT = """
 import hashlib, sys
-from mc_reference import batch_chunks, unit_chunks
+from mc_reference import stream_chunks, unit_chunks
 from spectral_mask import ModelParams
 
 def digest(chunks):
@@ -485,9 +481,9 @@ def digest(chunks):
 for N, size in [(100, 20003), (1000, 20000), (1024, 20003), (3000, 4099), (12, 20001)]:
     for m in (1, N // 3, N):
         params = ModelParams(N, 1, m)
-        line = [N, m, size, digest(unit_chunks(params, 5, 1, size))]
+        line = [N, m, size, digest(unit_chunks(params, 5, size))]
         if sys.argv[1] == "1":
-            line.append(digest(batch_chunks(params, 5, 1, size)))
+            line.append(digest(stream_chunks(params, 5, size)))
         print(*line)
 """
 
@@ -550,17 +546,15 @@ class TestMcPsi2:
 
     @pytest.mark.parametrize("part", [Part.REAL, Part.MODULUS_CENTERED])
     def test_matches_concatenated_samples(self, part):
-        # Three batches, the first two of two chunks each: the norm and the
-        # bracket equal those of all samples concatenated in batch order.
+        # Three chunks: the norm and the bracket equal those of all samples
+        # concatenated in stream order.
         params = ModelParams(1024, 5, 32)
-        cfg = McConfig(samples=12_000, seed=23, batch=5_000)
+        cfg = McConfig(samples=12_000, seed=23)
         center = 5.5
-        rows_per_chunk = _CHUNK_ELEMENTS // params.N
-        assert rows_per_chunk < cfg.batch
+        assert len(list(_units(cfg, params.N))) == 3
         chunks = []
-        for b, size in _batches(cfg):
-            for re, im in unit_chunks(params, cfg.seed, b, size):
-                chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
+        for re, im in unit_chunks(params, cfg.seed, cfg.samples):
+            chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
         values = np.concatenate(chunks)
         sq = values * values
 
@@ -586,10 +580,28 @@ class TestMcPsi2:
         with pytest.raises(CapabilityError):
             mc_psi2(PARAMS, Part.REAL, McConfig(samples=limit + 1, seed=0))
 
+    def test_call_stays_within_the_byte_budget(self, monkeypatch):
+        # Four 1M-sample runs at N = 64, one per group, each 24 MB at peak;
+        # a 50 MB budget lets two run at once.  The waves change no bit.
+        cfg = McConfig(samples=1_000_000, seed=5)
+        runs = [(ModelParams(64, l, 21), Part.REAL, None) for l in (1, 3, 5, 7)]
+        want = mc_psi2_many(runs, cfg, workers=4)
+        budget = 50_000_000
+        monkeypatch.setattr(montecarlo, "_PSI2_MAX_BYTES", budget)
+        assert [len(w) for w in montecarlo._psi2_waves([[0], [1], [2], [3]], cfg, 4)] == [2, 2]
+        tracemalloc.start()
+        try:
+            got = mc_psi2_many(runs, cfg, workers=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= budget
+
     def test_memory_per_sample(self):
-        # Small batches keep the draw temporaries small, so the peak is the
-        # retained squared samples plus the probe buffer and std's temporary.
-        cfg = McConfig(samples=1_000_000, seed=5, batch=16_384)
+        # The draw temporaries of one chunk stay small next to the retained
+        # squared samples, the probe buffer and std's temporary.
+        cfg = McConfig(samples=1_000_000, seed=5)
         tracemalloc.start()
         try:
             mc_psi2(ModelParams(8, 1, 4), Part.REAL, cfg)
@@ -612,9 +624,9 @@ class TestGroupedRuns:
         ModelParams(1000, 7, 333),
         ModelParams(1000, 3, 333),
     ]
-    # Batches of five, five and one chunks at N = 1000 (under a 2^18-element
-    # chunk), so a chunk tree would reassociate; one chunk each at N = 12.
-    CFG = McConfig(samples=2_250, seed=41, batch=1_100)
+    # Nine chunks at N = 1000 (under a 2^18-element chunk), so any other fold
+    # would reassociate; one chunk at N = 12.
+    CFG = McConfig(samples=2_250, seed=41)
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -637,10 +649,9 @@ class TestGroupedRuns:
             )
             for i, p in enumerate(self.POINTS)
         ]
-        assert len(list(_units(self.CFG, 1000))) == 11
+        assert len(list(_units(self.CFG, 1000))) == 9
         alone = [mc_run(params, queries, self.CFG) for params, queries in runs]
-        # The reference accumulates each batch's chunks one after another.
-        assert alone == [merge_layers(batch_accumulators(p, q, self.CFG)) for p, q in runs]
+        assert alone == [fold(chunk_accumulators(p, q, self.CFG)) for p, q in runs]
         for group_bytes in self.GROUP_BYTES:
             monkeypatch.setattr(montecarlo, "_GROUP_BYTES", group_bytes)
             for workers in (1, 3):
@@ -673,7 +684,7 @@ class TestGroupedRuns:
         monkeypatch.setattr(montecarlo, "_draw_unit", spy)
         runs = [(p, McQueries(parts=(Part.REAL,))) for p in self.POINTS]
         mc_run_many(runs, self.CFG)
-        assert sorted(draws) == [(12, 2)] * 3 + [(1000, 5)] * 11
+        assert sorted(draws) == [(12, 2)] + [(1000, 5)] * 9
 
     def test_empty_and_invalid(self):
         assert mc_run_many([], self.CFG) == []

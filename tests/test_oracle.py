@@ -330,12 +330,6 @@ class TestExactPsi2MomentNorm:
         assert est.norm == pytest.approx(dense, rel=1e-6)
         assert dense <= est.norm + 1e-12
 
-    def test_bad_args(self):
-        with pytest.raises(ParameterDomainError):
-            exact_psi2_moment_norm(ModelParams(4, 1, 2), Part.REAL, p_max=0.5)
-        with pytest.raises(ParameterDomainError):
-            exact_psi2_moment_norm(ModelParams(4, 1, 2), Part.REAL, grid=1)
-
 
 ALL_PARTS = [Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED, Part.COMPLEX]
 

@@ -12,7 +12,8 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # Names that left the package because no command used them; the scalar
 # evaluator and the trigonometric sums live on in tests/scalar_reference.py,
 # the whole-chunk mask draw in tests/mc_reference.py; the per-batch loop
-# gave way to chunk units shared by every run with the same N.
+# gave way to chunk units shared by every run with the same N, and batches,
+# their substreams and their merge tree to one stream per seed.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound"),
     model: (
@@ -22,7 +23,8 @@ REMOVED = {
     montecarlo: (
         "mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum",
         "DEFAULT_WORK_CEILING", "_check_work", "_draw_masks", "_batch_part_values",
-        "_batch_chunks", "_run_batch",
+        "_batch_chunks", "_run_batch", "merge_tree", "_TreeFold", "_batches",
+        "_substream",
     ),
     cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
 }
@@ -31,6 +33,8 @@ REMOVED_ATTRIBUTES = {
     oracle.ExactDistribution: ("atoms", "to_json", "to_json_dict"),
 }
 REMOVED_FIELDS = {
+    cli.RunConfig: ("mc_batch",),
+    montecarlo.McConfig: ("batch",),
     montecarlo.McQueries: ("exp_scales",),
     montecarlo.Accumulator: (
         "sum_re", "sum_im", "sum_sq_re", "sum_sq_im", "sum_mod", "sum_sq_mod",
