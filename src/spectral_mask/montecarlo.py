@@ -1,19 +1,26 @@
 """Streaming Monte Carlo estimators with seeded, mergeable accumulators.
 
-Sampling uses the counter-based Philox generator (``philox4x64-10``): every
-run draws from one stream keyed ``seed XOR splitmix64(0)``, cut into chunks
-of ``_rows_per_chunk(N)`` rows.  The unit of work is one chunk:
-``Philox.advance`` positions the stream at the chunk's first element, so the
-chunks of a run go to separate workers, and each run's chunk results fold
-left to right in stream order as they arrive.  A given config thus produces
-bit-identical results no matter how many workers computed the chunks.  The
-mask-times-atoms products run on the calling thread in 4-row-aligned calls,
-so results do not depend on the BLAS thread count either.
+Sampling uses the counter-based Philox generator (``philox4x64-10``).  A
+mask entry needs about one bit, so each 64-bit output of the main stream,
+keyed ``seed XOR splitmix64(0)``, serves four entries as 16-bit lanes: an
+entry is kept iff its lane, read as the top 16 bits of a uniform 64-bit u, is
+below the top 16 bits of the exact threshold of m/N.  Only on a tie
+(probability 2^-16) does u need its low 48 bits, read from a second stream
+keyed ``seed XOR splitmix64(1)``.  That is exactly the event u < threshold,
+so the law is that of ``model._inclusion_threshold`` (``_UnitMasks`` states
+the rule).  A run's elements are cut into chunks of ``_rows_per_chunk(N)``
+rows.  The unit of work is one chunk: ``Philox.advance`` positions both
+streams at the chunk's first element, so the chunks of a run go to separate
+workers, and each run's chunk results fold left to right in stream order as
+they arrive.  A given config thus produces bit-identical results no matter
+how many workers computed the chunks.  The mask-times-atoms products run on
+the calling thread in 4-row-aligned calls, so results do not depend on the
+BLAS thread count either.
 
-The uniforms depend only on (N, seed), so one draw of a chunk serves every
-run with that N: ``mc_run_many`` and ``mc_psi2_many`` take many runs at once
-and share each draw among those with the same N, with one threshold compare
-per distinct m.  Masks are drawn one block at a time into one reused buffer,
+The lanes depend only on (N, seed), so one draw of a chunk serves every run
+with that N: ``mc_run_many`` and ``mc_psi2_many`` take many runs at once and
+share each draw among those with the same N, with one threshold compare per
+distinct m.  Masks are decided one block at a time into one reused buffer,
 so besides its runs' chunk samples (capped per group by ``_GROUP_BYTES``) a
 running unit holds one draw block (``_BLOCK_ELEMENTS``).  Every accumulator
 equals the one its run gets alone.  At most ``2 * workers`` units are
@@ -55,12 +62,14 @@ from .oracle import Psi2Definition, Psi2Estimate, _psi2_bisect
 
 #: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
-#: How draws become samples: one stream per seed, cut into chunks of
-#: ``_rows_per_chunk(N)`` rows whose results fold left to right.  Recorded in
-#: ``summary.json``.
-MC_ALGORITHM = "single-stream-chunk-fold-v1"
+#: How draws become samples: each mask bit is decided from a 16-bit lane of
+#: one main stream per seed, reading a tie stream's 48 bits only on a tie
+#: (``_UnitMasks``), in chunks of ``_rows_per_chunk(N)`` rows whose results
+#: fold left to right.  Recorded in ``summary.json``.
+MC_ALGORITHM = "prefix16-tie48-chunk-fold-v1"
 
 _MASK64 = (1 << 64) - 1
+_LOW_MASK = (1 << 48) - 1
 # Elements (samples x N) generated per internal chunk, and at most
 # ``_CHUNK_ROWS`` rows; a fixed function of N only, so chunking never perturbs
 # the stream-to-sample mapping.  The samples equal one matrix-vector product
@@ -71,7 +80,7 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_ELEMENTS = 1 << 22
 _CHUNK_ROWS = 1 << 18
 # Elements drawn per block, rounded to whole calls of ``_gemv_rows(N)`` rows:
-# a running unit holds 1 MiB of uniforms and the 1 MiB float64 mask buffer it
+# a running unit holds 256 KiB of lanes and the 1 MiB float64 mask buffer it
 # reuses for every block and every m.  No bit depends on it: ``_chunk_plan``
 # fixes the product calls whatever the block size.
 _BLOCK_ELEMENTS = 1 << 17
@@ -104,8 +113,9 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed ^ _splitmix64(0)))
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no sample or worker count or seed.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -117,9 +127,9 @@ class McConfig:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if not _is_int(self.samples) or self.samples < 1:
             raise ParameterDomainError(f"samples must be a positive integer, got {self.samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+        if not _is_int(self.seed) or not 0 <= self.seed <= _MASK64:
             raise ParameterDomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not (
             isinstance(self.confidence, float)
@@ -332,25 +342,82 @@ def _units(cfg: McConfig, N: int):
         yield start, min(step, cfg.samples - start)
 
 
-def _unit_stream(seed: int, N: int, unit: tuple[int, int]) -> np.random.Generator:
-    """The stream positioned at the unit's first element e.  Philox yields
-    four 64-bit values per counter step, so advance e // 4 steps and discard
-    e % 4 values."""
-    start, _ = unit
-    rng = _stream(seed)
-    e = start * N
-    rng.bit_generator.advance(e // 4)
-    if e % 4:
-        rng.integers(0, 2**64, size=e % 4, dtype=np.uint64)
-    return rng
+def _philox_at(key: int, index: int) -> np.random.Philox:
+    """The Philox stream keyed ``key``, positioned at its 64-bit output
+    ``index``.  Philox yields four outputs per counter step, so advance
+    index // 4 steps and discard index % 4 outputs."""
+    bits = np.random.Philox(key=key)
+    bits.advance(index // 4)
+    if index % 4:
+        bits.random_raw(index % 4)
+    return bits
+
+
+class _UnitMasks:
+    """The Bernoulli masks of one unit, read block by block.
+
+    Element e of a run (row e // N, column e % N) takes lane e % 4 of word
+    e // 4 of the main stream, keyed seed XOR splitmix64(0): the 16 bits at
+    bit 16 * (e % 4), as the top 16 bits of a uniform 64-bit u.  At m < N it
+    is kept iff u < thr = ``_inclusion_threshold(m, N)``: a prefix below
+    thr >> 48 keeps it, one above drops it, and on a tie (probability 2^-16)
+    the low 48 bits of u are the top 48 bits of the next word of the tie
+    stream, keyed seed XOR splitmix64(1).  Each m reads the tie stream from
+    the unit's first element on, in element order, so every bit depends on
+    (seed, N, m, e) alone.
+    """
+
+    def __init__(self, seed: int, N: int, unit: tuple[int, int], ms, max_rows: int):
+        e = unit[0] * N
+        self.N, self.seed, self.first = N, seed, e
+        # The main stream is read only if some m < N needs its lanes.
+        drawn = any(m != N for m in ms)
+        self.main = _philox_at(seed ^ _splitmix64(0), e // 4) if drawn else None
+        self.lane = e % 4  # lane of the next element in its word
+        self.carry = None  # that word, if the previous block read it
+        self.lanes = None
+        self.ties: dict = {}
+        self.buf = np.empty(max_rows * N)
+        self.size = 0
+
+    def next_block(self, rows: int) -> None:
+        """Read the lanes of the unit's next ``rows`` rows."""
+        self.size = rows * self.N
+        if self.main is None:
+            return
+        lane, end = self.lane, self.lane + self.size
+        words = self.main.random_raw((end + 3) // 4 - (self.carry is not None))
+        if self.carry is not None:
+            words = np.concatenate((self.carry, words))
+        self.lane = end % 4
+        self.carry = words[-1:].copy() if self.lane else None
+        self.lanes = words.astype("<u8", copy=False).view("<u2")[lane:end]
+
+    def masks(self, m: int) -> np.ndarray:
+        """The current block's masks at m as a (rows, N) 0/1 float64 view of
+        one reused buffer, valid until the next call."""
+        flat = self.buf[: self.size]
+        if m == self.N:
+            flat.fill(1.0)
+            return flat.reshape(-1, self.N)
+        thr = _inclusion_threshold(m, self.N)
+        prefix, low = np.uint16(thr >> 48), thr & _LOW_MASK
+        np.less(self.lanes, prefix, out=flat)
+        # A tie keeps only if its low part is below ``low``; none does at 0.
+        tied = np.flatnonzero(self.lanes == prefix) if low else ()
+        if len(tied):
+            if m not in self.ties:
+                self.ties[m] = _philox_at(self.seed ^ _splitmix64(1), self.first)
+            flat[tied] = self.ties[m].random_raw(len(tied)) >> 16 < low
+        return flat.reshape(-1, self.N)
 
 
 def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int]) -> dict:
     """(re, im) of one chunk for every distinct (l, m) of ``points``, which
     share one N, keyed by (l, m), all from one draw.
 
-    The chunk is drawn block by block; each block's uniforms are compared
-    once per distinct m into one reused mask buffer, and its matrix-vector
+    The chunk's lanes are read block by block (``_UnitMasks``) and decided
+    once per distinct m into one reused mask buffer; its matrix-vector
     products run in the small calls ``_chunk_plan`` lays out: the samples
     equal one single-threaded product over each whole chunk, whatever BLAS
     thread count is set.
@@ -361,24 +428,16 @@ def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int]) -> d
         atoms = atom_table(N, l)
         cols = (np.ascontiguousarray(atoms.real), np.ascontiguousarray(atoms.imag))
         by_m.setdefault(m, []).append(((l, m), cols))
-    thresholds = {m: np.uint64(_inclusion_threshold(m, N)) for m in by_m if m != N}
     out = {key: (np.empty(rows), np.empty(rows)) for runs in by_m.values() for key, _ in runs}
-    rng = _unit_stream(seed, N, unit) if thresholds else None
     step = _gemv_rows(N)
     block_rows = max(step + 1, _BLOCK_ELEMENTS // N // step * step)
-    buf = np.empty(min(block_rows, rows) * N)
+    draw = _UnitMasks(seed, N, unit, by_m, min(block_rows, rows))
     for start, slices, tail in _chunk_plan(rows, step, block_rows):
         stacked = slices * step
         n = stacked + sum(tail)
-        flat = buf[: n * N]
-        masks = flat.reshape(n, N)
-        if rng is not None:
-            u = rng.integers(0, 2**64, size=flat.size, dtype=np.uint64)
+        draw.next_block(n)
         for m, runs in by_m.items():
-            if m == N:
-                flat.fill(1.0)
-            else:
-                np.less(u, thresholds[m], out=flat)
+            masks = draw.masks(m)
             for key, cols in runs:
                 for col, values in zip(cols, out[key]):
                     dst = values[start : start + n]
@@ -439,7 +498,7 @@ def _map_ordered(fn, items, workers: int):
 
 
 def _check_workers(workers: int) -> None:
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
 
 
@@ -491,8 +550,9 @@ def mc_run(
     reduction.
 
     Bit-identical for a given (params, queries, cfg) regardless of
-    ``workers``: the samples always come from the stream keyed
-    seed XOR splitmix64(0), and the chunk sums fold in stream order.
+    ``workers``: the samples always come from the streams keyed
+    seed XOR splitmix64(0) and (on ties) seed XOR splitmix64(1), and the
+    chunk sums fold in stream order.
     """
     return mc_run_many([(params, queries)], cfg, workers=workers)[0]
 

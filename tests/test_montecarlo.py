@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spectral_mask
-from mc_reference import chunk_part_values, stream, stream_chunks, unit_chunks
+from mc_reference import chunk_part_values, stream_chunks, stream_mask_chunks, unit_chunks
 from spectral_mask import (
     CapabilityError,
     CIMethod,
@@ -79,11 +79,21 @@ class TestConfigValidation:
             {"samples": 10.0, "seed": 0},
             {"samples": 10, "seed": 0, "confidence": 1.0},
             {"samples": 10, "seed": 0, "confidence": 0.0},
+            {"samples": True, "seed": 0},
+            {"samples": 10, "seed": False},
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ParameterDomainError):
             McConfig(**kwargs)
+
+    @pytest.mark.parametrize("workers", [0, True, 2.0])
+    def test_rejects_workers(self, workers):
+        cfg = McConfig(samples=10, seed=0)
+        with pytest.raises(ParameterDomainError):
+            mc_run(PARAMS, McQueries(), cfg, workers=workers)
+        with pytest.raises(ParameterDomainError):
+            mc_psi2(PARAMS, Part.REAL, cfg, workers=workers)
 
     def test_queries_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -141,6 +151,76 @@ class TestSingleStream:
         assert want.n == cfg.samples
         for workers in (1, 3, 8):
             assert mc_run(params, queries, cfg, workers=workers) == want
+
+
+class TestPrefixRule:
+    """Every mask bit is u < thr for the 64-bit u that ``mc_reference``
+    rebuilds from the element's lane and, on a tie, its tie-stream word."""
+
+    N = 1001
+    CFG = McConfig(samples=1_500, seed=37)
+
+    @pytest.fixture(autouse=True)
+    def nine_row_chunks(self, monkeypatch):
+        # 9-row chunks of 9009 elements: 167 units whose starts fall mid-word
+        # and mid-counter (9009 % 16 = 1), each reference product small
+        # enough for one BLAS thread.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 9 * self.N)
+
+    # m = 500 keeps about half the elements, so a lane read from the wrong
+    # word flips its bit half the time.
+    @pytest.mark.parametrize("m", [1, 500, 1000, 1001])
+    def test_masks_are_u_below_threshold(self, m):
+        params = ModelParams(self.N, 1, m)
+        units = list(_units(self.CFG, self.N))
+        assert len(units) == 167
+        assert {start * self.N % 16 for start, _ in units} == set(range(16))
+        ties = kept = 0
+        chunks = stream_mask_chunks(params, self.CFG.seed, self.CFG.samples)
+        for (start, rows), (first, want, tied) in zip(units, chunks, strict=True):
+            assert first == start * self.N
+            # Blocks of 1, 3 and 5 rows leave every lane offset to carry.
+            draw = montecarlo._UnitMasks(self.CFG.seed, self.N, (start, rows), (m,), rows)
+            got = []
+            for n in (1, 3, rows - 4):
+                draw.next_block(n)
+                got.append(draw.masks(m).copy())
+            assert np.concatenate(got).tobytes() == want.tobytes()
+            ties += int(np.count_nonzero(tied))
+            kept += int(np.count_nonzero(want[tied]))
+        # About 23 ties per m < N, some kept and some dropped.
+        assert (0 < kept < ties) if m < self.N else ties == 0
+
+    def test_runs_fold_the_reference(self):
+        queries = McQueries(
+            parts=(Part.REAL, Part.MODULUS), moment_orders=(1,), tail_thresholds=(0.5, 2.0)
+        )
+        runs = [(ModelParams(self.N, 1, m), queries) for m in (1, 500, 1000, 1001)]
+        want = [fold(chunk_accumulators(p, q, self.CFG)) for p, q in runs]
+        for workers in (1, 3, 8):
+            assert [mc_run(p, q, self.CFG, workers=workers) for p, q in runs] == want
+            assert mc_run_many(runs, self.CFG, workers=workers) == want
+
+
+class TestFrequencyClasses:
+    """The law at (N, l, m) depends on l only through gcd(l, N): runs at l
+    and at gcd(l, N), on independent seeds, agree within their intervals."""
+
+    @pytest.mark.parametrize("N,l,m", [(12, 5, 4), (12, 10, 3), (256, 6, 21), (256, 255, 8)])
+    def test_tails_agree_across_the_class(self, N, l, m):
+        g = math.gcd(l, N)
+        assert g != l
+        thresholds = tuple(f * math.sqrt(m) for f in (0.25, 0.5, 1.0, 1.5))
+        queries = McQueries(tail_thresholds=thresholds)
+        a = mc_run(ModelParams(N, l, m), queries, McConfig(samples=20_000, seed=101))
+        b = mc_run(ModelParams(N, g, m), queries, McConfig(samples=20_000, seed=202))
+        inner = 0
+        for part in queries.parts:
+            for t in thresholds:
+                x, y = mc_tail(a, part, t), mc_tail(b, part, t)
+                assert abs(x.estimate - y.estimate) <= x.half_width + y.half_width, (part, t)
+                inner += 0.05 < x.estimate < 0.95
+        assert inner >= 4
 
 
 class TestMergeAlgebra:
@@ -263,7 +343,7 @@ class TestPowerSums:
         cfg = McConfig(samples=5_000, seed=17)
         acc = mc_run(params, queries, cfg)
         assert set(acc.power_sums) == {(p, k) for p in parts for k in (1, 2, 3, 4, 6)}
-        re, im = chunk_part_values(params, stream(cfg.seed), cfg.samples)
+        re, im = chunk_part_values(params, cfg.seed, cfg.samples)
         samples = {Part.IMAG: im, Part.MODULUS_CENTERED: np.hypot(re, im) - 1.25}
         z = _z_value(cfg.confidence)
         for part, x in samples.items():
@@ -310,7 +390,7 @@ class TestThresholdHits:
         params = ModelParams(6, 1, 3)
         center = 1.25
         parts = (Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED)
-        re, im = chunk_part_values(params, stream(4), 3_000)
+        re, im = chunk_part_values(params, 4, 3_000)
         samples = {
             Part.REAL: re,
             Part.IMAG: im,
@@ -478,7 +558,9 @@ def digest(chunks):
         h.update(im.tobytes())
     return h.hexdigest()
 
-for N, size in [(100, 20003), (1000, 20000), (1024, 20003), (3000, 4099), (12, 20001)]:
+for N, size in [
+    (100, 20003), (1000, 20000), (1024, 20003), (3000, 4099), (12, 20001), (1001, 12571)
+]:
     for m in (1, N // 3, N):
         params = ModelParams(N, 1, m)
         line = [N, m, size, digest(unit_chunks(params, 5, size))]
@@ -508,7 +590,7 @@ def test_samples_independent_of_blas_threads():
     }
     out = {threads: proc.communicate()[0].splitlines() for threads, proc in procs.items()}
     assert all(proc.returncode == 0 for proc in procs.values())
-    assert len(out[1]) == len(out[2]) == 15
+    assert len(out[1]) == len(out[2]) == 18
     for one, two in zip(out[1], out[2]):
         case, drawn, reference = one.rsplit(" ", 2)
         assert two == f"{case} {drawn}"

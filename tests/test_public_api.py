@@ -13,7 +13,8 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # evaluator and the trigonometric sums live on in tests/scalar_reference.py,
 # the whole-chunk mask draw in tests/mc_reference.py; the per-batch loop
 # gave way to chunk units shared by every run with the same N, and batches,
-# their substreams and their merge tree to one stream per seed.
+# their substreams and their merge tree to one stream per seed, read as
+# 16-bit lanes by ``_UnitMasks``.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound"),
     model: (
@@ -24,7 +25,7 @@ REMOVED = {
         "mc_exp_moment", "snapshot", "_collect_part_values", "_moment_sum",
         "DEFAULT_WORK_CEILING", "_check_work", "_draw_masks", "_batch_part_values",
         "_batch_chunks", "_run_batch", "merge_tree", "_TreeFold", "_batches",
-        "_substream",
+        "_substream", "_stream", "_unit_stream",
     ),
     cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
 }
