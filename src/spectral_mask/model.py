@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import ParameterDomainError
 
-#: Absolute tolerance under which two evaluated mask values count as the same
-#: outcome.  Far above the summation error budget (1e-12 * N).  Distinct
-#: roots-of-unity sums can lie closer than any fixed spacing, so the oracle
-#: measures the smallest gap of each law and refuses one inside its grouping
-#: margin.  Exact and Monte Carlo tail thresholds absorb the same slack so
-#: both sides make the same call on boundary atoms.
+#: Float-noise slack, no longer a grouping rule: the oracle groups outcomes
+#: exactly, on integer coordinates in Z[zeta_d], since distinct roots-of-unity
+#: sums can lie closer than any fixed spacing (4.1e-9 for the modulus at
+#: N = 23).  It is the tie rule of tail thresholds: exact and Monte Carlo
+#: tails both count |x| >= t - tol, so they make the same call on outcomes
+#: analytically at t whatever their float noise (about 1e-12 * N).  The psi2
+#: norms also treat a variable with no |x| above it as zero.
 VALUE_GROUPING_TOL = 1e-9
 
 

@@ -114,7 +114,8 @@ def _splitmix64(x: int) -> int:
 
 
 def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no sample or worker count or seed.
+    # bool is an int subclass, but True is no sample or worker count, seed or
+    # moment order.
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -158,7 +159,7 @@ class McQueries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "moment_orders", tuple(int(k) for k in self.moment_orders))
+        object.__setattr__(self, "moment_orders", tuple(self.moment_orders))
         object.__setattr__(self, "tail_thresholds", tuple(float(t) for t in self.tail_thresholds))
         if not self.parts:
             raise ParameterDomainError("at least one part must be requested")
@@ -166,8 +167,8 @@ class McQueries:
             if part not in REAL_VALUED_PARTS:
                 raise ParameterDomainError(f"queries need real-valued parts, got {part!r}")
         for k in self.moment_orders:
-            if k < 1:
-                raise ParameterDomainError(f"moment orders must be >= 1, got {k}")
+            if not _is_int(k) or k < 1:
+                raise ParameterDomainError(f"moment orders must be integers >= 1, got {k!r}")
         for t in self.tail_thresholds:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ParameterDomainError(f"tail thresholds must be finite and >= 0, got {t}")

@@ -1,18 +1,21 @@
 """Exact oracle over all 2^N masks: law, moments, tails, and psi2 norms.
 
 Every closed-form identity and bound in :mod:`spectral_mask.bounds` is tested
-against this module.  The law of a part is built by convolution, one atom at
-a time: each step splits every outcome into atom-off and atom-on, merges
-values that agree within ``VALUE_GROUPING_TOL`` and keeps an exact integer
-count of masks per (outcome, popcount).  Probabilities weight those counts
-with the exact big-integer rational m^k (N-m)^(N-k) / N^N rounded once to
-float64.
+against this module.  An outcome at frequency l is a sum of d-th roots of
+unity, d = N / gcd(l, N), so it has exact integer coordinates in Z[zeta_d]
+(basis 1, zeta, ..., zeta^(phi(d)-1)).  The law of a part is built by
+convolution, one atom at a time, on one int64 key per outcome that packs
+those coordinates: each step splits every outcome into atom-off and atom-on,
+merges equal keys and keeps an exact integer count of masks per (outcome,
+popcount).  The real and imaginary parts group on 2 Re z and 2i Im z, the
+modulus on |z|^2; floats are computed from the coordinates, for output only.
+Probabilities weight the counts with the exact big-integer rational
+m^k (N-m)^(N-k) / N^N rounded once to float64.
 
 The law does not depend on m, and the atom multiset at frequency l equals
 the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
-Laws live in one cache bounded in bytes (``LAW_CACHE_BYTES``).  Building a
-law measures the smallest gap between distinct outcomes and refuses a law
-whose gap falls inside ``GROUPING_MARGIN`` times the grouping tolerance.
+Laws live in one cache bounded in bytes (``LAW_CACHE_BYTES``).  A build is
+refused as soon as its count table would pass ``LAW_BUILD_BYTES``.
 
 The exp-moment psi2 norm is located by one bisection (``_psi2_bisect``),
 which the Monte Carlo estimator shares with the exact one.
@@ -34,7 +37,6 @@ from .model import (
     VALUE_GROUPING_TOL,
     ModelParams,
     Part,
-    atom_table,
 )
 
 #: Largest N enumerated unless the caller raises the guard explicitly.
@@ -42,11 +44,13 @@ DEFAULT_ENUM_GUARD = 24
 #: Absolute ceiling on the guard override (2^26 masks).
 HARD_ENUM_CAP = 26
 #: Tag of the exact-law construction; exact artifact cells depend on it.
-LAW_ALGORITHM = "atom-convolution-v1"
-#: Distinct outcomes must lie this many grouping tolerances apart.
-GROUPING_MARGIN = 1e3
+LAW_ALGORITHM = "cyclotomic-keys-v1"
 #: Byte bound on the cache of laws shared across m and frequency classes.
 LAW_CACHE_BYTES = 64 << 20
+#: Byte bound on one law's count table; a build that would pass it is refused.
+LAW_BUILD_BYTES = 256 << 20
+#: Rows per slice of the modulus transients.
+_SLICE_ROWS = 1 << 12
 
 # Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(26, 13) < 2^31.
 assert math.comb(HARD_ENUM_CAP, HARD_ENUM_CAP // 2) < 2**31
@@ -90,11 +94,13 @@ class Psi2Estimate:
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """The full law of one part: grouped values with exact-weight probabilities.
+    """The full law of one part: distinct outcomes with exact-weight probabilities.
 
-    ``values`` is float64 (real-valued parts) or complex128 (complex part),
-    sorted; ``probs`` are strictly positive and sum to 1 within 1e-12.  Arrays
-    may be shared with an internal cache: treat them as read-only.
+    ``values`` is float64 (real-valued parts) or complex128 (complex part,
+    ordered by real then imaginary part), sorted.  Outcomes are grouped
+    exactly, so two entries are two distinct outcomes, however close their
+    floats.  ``probs`` are strictly positive and sum to 1 within 1e-12.
+    Arrays may be shared with an internal cache: treat them as read-only.
     """
 
     params: ModelParams
@@ -129,69 +135,53 @@ def weight_table(N: int, m: int) -> np.ndarray:
     )
 
 
-def _group_ids(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Group index of each input, given the sort ``order`` and run ``sizes``."""
-    gid = np.empty(order.size, dtype=np.intp)
-    gid[order] = np.repeat(np.arange(sizes.size), sizes)
-    return gid
+def _cyclotomic(d: int) -> np.ndarray:
+    """Integer coefficients of Phi_d, constant term first: x^d - 1 divided
+    exactly by Phi_e for every proper divisor e of d."""
+    poly = np.zeros(d + 1, dtype=np.int64)
+    poly[0], poly[d] = -1, 1
+    for e in (e for e in range(1, d) if d % e == 0):
+        den = _cyclotomic(e)
+        quo = np.zeros(poly.size - den.size + 1, dtype=np.int64)
+        for i in reversed(range(quo.size)):
+            quo[i] = poly[i + den.size - 1]
+            poly[i : i + den.size] -= quo[i] * den
+        poly = quo
+    return poly
 
 
-def _group_real(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Gap clusters of ``vals``: sorted representatives, the group of each
-    input, the largest spread inside one group and the smallest gap between
-    neighbouring groups."""
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    steps = np.diff(sv)
-    breaks = steps > VALUE_GROUPING_TOL
-    starts = np.concatenate(([0], np.nonzero(breaks)[0] + 1))
-    ends = np.append(starts[1:], sv.size)
-    sizes = ends - starts
-    reps = np.add.reduceat(sv, starts) / sizes
-    spread = float((sv[ends - 1] - sv[starts]).max())
-    gap = float(steps[breaks].min(initial=math.inf))
-    return reps, _group_ids(order, sizes), spread, gap
+def _powers(d: int, count: int) -> np.ndarray:
+    """Coordinates of zeta^r, r < count, in the basis 1, zeta, ...,
+    zeta^(phi(d)-1) of Z[zeta_d]: multiply by zeta, reduce modulo Phi_d."""
+    low = -_cyclotomic(d)[:-1]
+    out = np.zeros((count, low.size), dtype=np.int64)
+    out[0, 0] = 1
+    for r in range(1, count):
+        out[r, 1:] = out[r - 1, :-1]
+        out[r] += out[r - 1, -1] * low
+    return out
 
 
-def _group_complex(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """As :func:`_group_real`, for complex values.
+def _strides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Place values of a mixed radix over integer coordinates in [lo, hi]:
+    each coordinate row packs into one int64 key.  Refuses a wider key."""
+    radix = (hi - lo + 1).tolist()
+    if math.prod(radix) >= 2**63:
+        raise CapabilityError(f"exact outcome keys need {math.log2(math.prod(radix)):.1f} bits")
+    return np.cumprod([1] + radix[:-1]).astype(np.int64)
 
-    Two-stage tolerance clustering: gap clusters of the real coordinate, then
-    gap clusters of the imaginary coordinate inside each real cluster.
-    Avoids chained-tolerance mistakes when interleaved imaginary parts sit
-    inside one tight real cluster.  Spread and gap are taken per coordinate.
-    """
-    re = vals.real
-    im = vals.imag
-    order_re = np.argsort(re, kind="stable")
-    sre = re[order_re]
-    re_steps = np.diff(sre)
-    re_breaks = re_steps > VALUE_GROUPING_TOL
-    re_starts = np.concatenate(([0], np.nonzero(re_breaks)[0] + 1))
-    re_ends = np.append(re_starts[1:], vals.size)
-    re_id = np.empty(vals.size, dtype=np.intp)
-    re_id[order_re] = np.concatenate(([0], np.cumsum(re_breaks)))
-    order = np.lexsort((im, re_id))
-    sim = im[order]
-    im_steps = np.diff(sim)
-    same_re = np.diff(re_id[order]) == 0
-    im_breaks = same_re & (im_steps > VALUE_GROUPING_TOL)
-    starts = np.concatenate(([0], np.nonzero(~same_re | im_breaks)[0] + 1))
-    ends = np.append(starts[1:], vals.size)
-    sizes = ends - starts
-    reps = (
-        np.add.reduceat(re[order], starts) / sizes
-        + 1j * (np.add.reduceat(sim, starts) / sizes)
-    )
-    spread = max(
-        float((sre[re_ends - 1] - sre[re_starts]).max()),
-        float((sim[ends - 1] - sim[starts]).max()),
-    )
-    gap = min(
-        float(re_steps[re_breaks].min(initial=math.inf)),
-        float(im_steps[im_breaks].min(initial=math.inf)),
-    )
-    return reps, _group_ids(order, sizes), spread, gap
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first input of each distinct key, in key order, and the
+    group index of every input: equal keys are equal outcomes."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    gid = np.empty(keys.size, dtype=np.intp)
+    gid[order] = np.cumsum(starts) - 1
+    return order[starts], gid
 
 
 def _regroup(counts: np.ndarray, gid: np.ndarray, size: int) -> np.ndarray:
@@ -210,64 +200,120 @@ def _regroup(counts: np.ndarray, gid: np.ndarray, size: int) -> np.ndarray:
 class _Law:
     """Law of one part of one frequency class, independent of m.
 
-    ``values`` are the sorted grouped outcomes; ``counts[k, i]`` is the exact
-    number of masks of popcount k whose value falls in group i.  ``spread``
-    is the largest distance merged into one group at any step and ``gap`` the
-    smallest distance between distinct final outcomes.
+    ``values`` are the sorted outcomes; ``counts[k, i]`` is the exact number
+    of masks of popcount k whose value is outcome i.  The complex law keeps
+    each outcome's int8 coordinates in Z[zeta_d] for the modulus.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    spread: float
-    gap: float
+    coords: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
-        return self.values.nbytes + self.counts.nbytes
+        return sum(a.nbytes for a in (self.values, self.counts, self.coords) if a is not None)
 
 
-def _convolve(components: np.ndarray, group) -> _Law:
-    """Law of the sum over a random subset of ``components``, one atom at a time.
+def _convolve(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and count table of the sum over a random subset of the
+    integer ``vectors``, one atom at a time.
 
-    Each step splits every outcome into atom-off and atom-on (popcount + 1)
-    and regroups, so the table never holds more than twice the distinct
-    outcomes of the previous step.
+    An outcome is one int64 key, a mixed radix over each coordinate's range,
+    so an atom adds a fixed delta.  Each step splits every outcome into
+    atom-off and atom-on (popcount + 1) and merges equal keys; it is refused
+    before its count table would pass ``LAW_BUILD_BYTES``.
     """
-    values = np.zeros(1, dtype=components.dtype)
+    lo, hi = np.minimum(vectors, 0).sum(axis=0), np.maximum(vectors, 0).sum(axis=0)
+    strides = _strides(lo, hi)
+    keys = np.array([-lo @ strides])
     counts = np.ones((1, 1), dtype=np.int32)
-    spread = 0.0
-    gap = math.inf
-    for c in components:
+    for delta in vectors @ strides:
         k, size = counts.shape
-        split = np.zeros((k + 1, 2 * size), dtype=np.int32)
-        split[:k, :size] = counts
-        split[1:, size:] = counts
-        values, gid, step_spread, gap = group(np.concatenate([values, values + c]))
-        counts = _regroup(split, gid, values.size)
-        spread = max(spread, step_spread)
-    return _Law(values, counts, spread, gap)
+        both = np.concatenate([keys, keys + delta])
+        first, gid = _group(both)
+        keys = both[first]
+        if (k + 1) * keys.size * 4 > LAW_BUILD_BYTES:
+            raise CapabilityError(
+                f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
+                f"({keys.size} outcomes after {k} atoms); use the Monte Carlo estimators"
+            )
+        grown = np.zeros((k + 1, keys.size), dtype=np.int32)
+        grown[:k, gid[:size]] = counts
+        for row, on in zip(grown[1:], counts):
+            row[gid[size:]] += on
+        counts = grown
+    coords = np.empty((keys.size, lo.size), dtype=np.int8)
+    for j, (stride, a, b) in enumerate(zip(strides, lo, hi)):
+        coords[:, j] = keys // stride % (b - a + 1) + a
+    return coords, counts
+
+
+def _half_sum(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Half of sum_j coords[:, j] * weights[j], the columns added in order, so
+    equal integer rows give bit-equal floats."""
+    acc = np.zeros(len(coords))
+    for col, w in zip(coords.T, weights):
+        acc += col * w
+    return 0.5 * acc
+
+
+def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """One int64 key per complex outcome z: the packed coordinates of |z|^2.
+
+    |z|^2 = D_0 + sum_t D_t (zeta^t + zeta^-t), with D_t = sum_j c_(j+t) c_j
+    over the coordinates c of z.  Columns of that form that always agree are
+    packed once, each over the range it really takes.
+    """
+    d, phi = powers.shape
+    form = powers[:phi] + powers[-np.arange(phi) % d]
+    form[0] = powers[0]
+    form = np.unique(form, axis=1).astype(np.float64)
+    square = np.empty((len(coords), form.shape[1]), dtype=np.int32)
+    for s in range(0, len(coords), _SLICE_ROWS):
+        c = coords[s : s + _SLICE_ROWS].astype(np.float64)
+        lags = np.stack([np.einsum("ij,ij->i", c[:, t:], c[:, : phi - t]) for t in range(phi)], axis=1)
+        # Exact: every product and sum is a small integer.
+        square[s : s + len(c)] = lags @ form
+    lo, hi = square.min(axis=0), square.max(axis=0)
+    keys = np.zeros(len(coords), dtype=np.int64)
+    for col, a, stride in zip(square.T, lo, _strides(lo, hi)):
+        keys += (col - a) * stride
+    return keys
 
 
 def _build_law(N: int, g: int, part: Part) -> _Law:
-    atoms = atom_table(N, g)
-    if part is Part.REAL:
-        law = _convolve(atoms.real, _group_real)
-    elif part is Part.IMAG:
-        law = _convolve(atoms.imag, _group_real)
-    elif part is Part.COMPLEX:
-        law = _convolve(atoms, _group_complex)
-    else:
+    d = N // math.gcd(g, N)
+    powers = _powers(d, d)
+    phi = powers.shape[1]
+    # zeta = exp(-2 pi i / d), so atom n of frequency g is zeta^(n mod d).
+    theta = 2.0 * np.pi * np.arange(phi) / d
+    cos, sin = np.cos(theta), -np.sin(theta)
+    atoms, conj = powers[np.arange(1, N + 1) % d], powers[-np.arange(1, N + 1) % d]
+    coords = None
+    if part is Part.MODULUS:
         joint = _law(N, g, Part.COMPLEX)
-        values, gid, spread, gap = _group_real(np.abs(joint.values))
-        counts = _regroup(joint.counts, gid, values.size)
-        law = _Law(values, counts, max(spread, joint.spread), gap)
-    if law.gap < GROUPING_MARGIN * VALUE_GROUPING_TOL:
-        raise ParameterDomainError(
-            f"distinct {part.value} outcomes at N={N}, gcd(l, N)={g} lie {law.gap:.3g} "
-            f"apart, inside the grouping margin {GROUPING_MARGIN:g} x {VALUE_GROUPING_TOL:g}"
-        )
-    law.values.flags.writeable = False
-    law.counts.flags.writeable = False
+        first, gid = _group(_modulus_keys(joint.coords, powers))
+        values = np.abs(joint.values[first])
+        counts = _regroup(joint.counts, gid, first.size)
+    elif part is Part.COMPLEX:
+        coords, counts = _convolve(atoms)
+        # Evaluate 2 Re z = z + conj(z) and 2i Im z = z - conj(z) exactly as
+        # the real and imaginary laws do, so equal parts get equal floats.
+        z, zbar = coords.astype(np.int16), coords @ powers[-np.arange(phi) % d].astype(np.int16)
+        values = _half_sum(z + zbar, cos) + 1j * _half_sum(z - zbar, sin)
+    else:
+        # The real and imaginary parts group on 2 Re z and 2i Im z.
+        sign = 1 if part is Part.REAL else -1
+        rows, counts = _convolve(atoms + sign * conj)
+        values = _half_sum(rows, cos if part is Part.REAL else sin)
+    # Complex values sort by real part, then imaginary part.
+    order = np.argsort(values, kind="stable")
+    for row in counts:
+        row[:] = row[order]
+    law = _Law(values[order], counts, None if coords is None else coords[order])
+    for array in (law.values, law.counts, law.coords):
+        if array is not None:
+            array.flags.writeable = False
     return law
 
 
@@ -365,9 +411,9 @@ def enumerate_distribution(
 ) -> ExactDistribution:
     """Exact law of the selected part over all 2^N masks.
 
-    Mask S carries weight (m/N)^|S| (1-m/N)^(N-|S|); equal values (within the
-    grouping tolerance) are merged.  For the centered modulus the exact
-    expected modulus is subtracted in the same pass.
+    Mask S carries weight (m/N)^|S| (1-m/N)^(N-|S|); masks with equal values
+    (equal coordinates in Z[zeta_d]) are merged.  For the centered modulus the
+    exact expected modulus is subtracted in the same pass.
     """
     values, probs = _dist_arrays(params, part, max_enum_n)
     return ExactDistribution(params, part, values, probs)
@@ -402,7 +448,7 @@ def exact_tail(
 ) -> float:
     """Exact P(|X| >= t) with the >= convention.
 
-    The comparison allows the value-grouping tolerance so atoms that are
+    The comparison allows ``VALUE_GROUPING_TOL`` so outcomes that are
     analytically at the threshold are counted regardless of float noise.
     """
     _require_real_part(part)

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 import spectral_mask
-from spectral_mask import bounds, cli, montecarlo
+from spectral_mask import bounds, cli, montecarlo, oracle
 from spectral_mask.cli import (
     CROSSOVER_HEADER,
     PSI2_HEADER,
@@ -180,7 +180,7 @@ class TestVerifyCommand:
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
         assert summary["environment"]["mc_algorithm"] == "prefix16-tie48-chunk-fold-v1"
-        assert summary["environment"]["law_algorithm"] == "atom-convolution-v1"
+        assert summary["environment"]["law_algorithm"] == "cyclotomic-keys-v1"
         assert summary["environment"]["package_version"] == spectral_mask.__version__
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}
 
@@ -265,6 +265,27 @@ class TestTailsCommand:
         ) == 0
         _, rows = read_csv(tmp_path / "tails_N8_l1_m3_real.csv")
         assert all(r[1] == "" for r in rows)
+
+    def test_exact_column_where_float_grouping_was_refused(self, tmp_path):
+        # Distinct real outcomes at N = 23 lie 8.5e-8 apart; exact keys group them.
+        path = write_config(
+            tmp_path,
+            {"n_grid": [23], "l_grid": [1], "m_grid": [3], "parts": ["real"], "mc": {"samples": 0}},
+        )
+        assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "tails_N23_l1_m3_real.csv")
+        assert len(rows) == 50 and all(r[1] != "" for r in rows)
+        assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_law_over_byte_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", 1 << 18)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._LawCache(oracle.LAW_CACHE_BYTES))
+        path = write_config(
+            tmp_path,
+            {"n_grid": [16], "l_grid": [1], "m_grid": [3], "parts": ["modulus"], "mc": {"samples": 0}},
+        )
+        assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "count budget" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(

@@ -102,8 +102,9 @@ class TestConfigValidation:
             McQueries(parts=())
         with pytest.raises(ParameterDomainError):
             McQueries(tail_thresholds=(-1.0,))
-        with pytest.raises(ParameterDomainError):
-            McQueries(moment_orders=(0,))
+        for orders in ((0,), (1.5,), (True,), (1.5, True), (2.0,)):
+            with pytest.raises(ParameterDomainError):
+                McQueries(moment_orders=orders)
 
     def test_centered_part_needs_center(self):
         with pytest.raises(ParameterDomainError):

@@ -70,10 +70,15 @@ def doubling_law(N, l, m, part):
     atoms = atom_table(N, l)
     comps = {Part.REAL: atoms.real, Part.IMAG: atoms.imag}.get(part, atoms)
     vals = np.zeros(1, dtype=comps.dtype)
-    pops = np.zeros(1, dtype=np.int64)
+    pops = np.zeros(1, dtype=np.int8)
     for c in comps:
         vals = np.concatenate([vals, vals + c])
         pops = np.concatenate([pops, pops + 1])
+        if part in (Part.REAL, Part.IMAG):
+            # Kept sorted: two sorted runs merge in linear time, where one
+            # sort of all 2^N sums at the end is the slow step at N = 23.
+            order = np.argsort(vals, kind="stable")
+            vals, pops = vals[order], pops[order]
     if part in (Part.MODULUS, Part.MODULUS_CENTERED):
         vals = np.abs(vals)
     if part is Part.COMPLEX:
@@ -368,19 +373,64 @@ class TestConvolutionLaw:
             assert law.counts.dtype == np.int32
             assert law.counts.sum(axis=1).tolist() == [math.comb(13, k) for k in range(14)]
 
-    def test_grouping_margin_measured(self):
-        for N in range(1, 13):
-            for g in {math.gcd(l, N) % N for l in range(N)}:
-                for part in (Part.REAL, Part.IMAG, Part.MODULUS, Part.COMPLEX):
-                    law = oracle._law(N, g, part)
-                    assert law.spread <= 1e-13
-                    assert law.gap >= oracle.GROUPING_MARGIN * VALUE_GROUPING_TOL
+    @pytest.mark.parametrize("N,l,m,part", [(19, 1, 7, Part.MODULUS), (23, 1, 5, Part.REAL), (23, 1, 9, Part.IMAG)])
+    def test_exact_where_float_grouping_was_refused(self, N, l, m, part):
+        # Distinct outcomes here lie 3.0e-7 (modulus) and 8.5e-8, 7.4e-7 apart:
+        # within the old 1e3 x 1e-9 margin, far outside the reference's 1e-9.
+        assert_same_law(oracle._dist_arrays(ModelParams(N, l, m), part, N), doubling_law(N, l, m, part))
 
-    def test_grouping_margin_enforced(self):
-        # Two distinct sums of cos(2 pi k / 23) lie 8.5e-8 apart, under the
-        # 1e-6 margin: the law is refused, not grouped on trust.
-        with pytest.raises(ParameterDomainError, match="grouping margin"):
-            enumerate_distribution(ModelParams(23, 1, 5), Part.REAL)
+    @pytest.mark.parametrize("N", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_outcome_counts_at_prime_n(self, N):
+        # Pairs {r, N - r} share a cosine and only 1 + 2 sum cos = 0 relates
+        # them; the sines are independent; only the empty and the full mask
+        # sum alike.
+        h = (N - 1) // 2
+        assert oracle._law(N, 1, Part.REAL).values.size == 2 * 3**h - 1
+        assert oracle._law(N, 1, Part.IMAG).values.size == 3**h
+        if N <= 17:
+            assert oracle._law(N, 1, Part.COMPLEX).values.size == 2**N - 1
+
+    def test_cyclotomic_coordinates(self):
+        assert oracle._cyclotomic(12).tolist() == [1, 0, -1, 0, 1]
+        assert oracle._cyclotomic(15).tolist() == [1, -1, 0, 1, -1, 1, 0, -1, 1]
+        for d in range(1, 2 * HARD_ENUM_CAP):
+            powers = oracle._powers(d, d + 1)
+            assert powers.shape[1] == sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+            assert powers[d].tolist() == powers[0].tolist()  # zeta^d = 1
+            zeta = np.exp(-2j * np.pi * np.arange(powers.shape[1]) / d)
+            assert np.allclose(powers @ zeta, np.exp(-2j * np.pi * np.arange(d + 1) / d))
+
+    def test_key_widths_fit(self):
+        # Every convolution key at N <= 26 fits in int64 and every coordinate
+        # in int8; the widest is the imaginary part at N = 23 (50.3 bits).
+        widest = 0.0
+        for N in range(1, HARD_ENUM_CAP + 1):
+            for d in (d for d in range(1, N + 1) if N % d == 0):
+                powers = oracle._powers(d, d)
+                n = np.arange(1, N + 1)
+                atoms, conj = powers[n % d], powers[-n % d]
+                for vectors in (atoms, atoms + conj, atoms - conj):
+                    lo = np.minimum(vectors, 0).sum(axis=0)
+                    hi = np.maximum(vectors, 0).sum(axis=0)
+                    assert -128 <= lo.min() and hi.max() <= 127
+                    oracle._strides(lo, hi)
+                    widest = max(widest, float(np.log2(hi - lo + 1).sum()))
+        assert 50.0 < widest < 51.0
+
+    def test_byte_guard(self, monkeypatch):
+        # The complex law at N = 16 holds 6561 x 17 int32 counts (436 KiB).
+        budget = 1 << 18
+        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._LawCache(oracle.LAW_CACHE_BYTES))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match="count budget"):
+                enumerate_distribution(ModelParams(16, 1, 3), Part.MODULUS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget
+        assert enumerate_distribution(ModelParams(16, 1, 3), Part.REAL).values.size > 0
 
     def test_guard_refuses_before_building(self, monkeypatch):
         def no_build(*key):

@@ -14,7 +14,8 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # the whole-chunk mask draw in tests/mc_reference.py; the per-batch loop
 # gave way to chunk units shared by every run with the same N, and batches,
 # their substreams and their merge tree to one stream per seed, read as
-# 16-bit lanes by ``_UnitMasks``.
+# 16-bit lanes by ``_UnitMasks``.  Exact laws group on integer keys in
+# Z[zeta_d], so the float clustering and its grouping margin are gone.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound"),
     model: (
@@ -28,6 +29,7 @@ REMOVED = {
         "_substream", "_stream", "_unit_stream",
     ),
     cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
+    oracle: ("_group_real", "_group_complex", "_group_ids", "GROUPING_MARGIN"),
 }
 REMOVED_ATTRIBUTES = {
     model.ModelParams: ("p", "is_dc"),
@@ -37,6 +39,7 @@ REMOVED_FIELDS = {
     cli.RunConfig: ("mc_batch",),
     montecarlo.McConfig: ("batch",),
     montecarlo.McQueries: ("exp_scales",),
+    oracle._Law: ("spread", "gap"),
     montecarlo.Accumulator: (
         "sum_re", "sum_im", "sum_sq_re", "sum_sq_im", "sum_mod", "sum_sq_mod",
         "moment_sums", "exp_sums", "exp_sq_sums",
