@@ -268,11 +268,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _bounded(params: ModelParams) -> bool:
+    """Whether any tail bound is claimed at ``params``: l >= 1 and N != 2l."""
+    return params.l >= 1 and not params.is_degenerate_2l
+
+
 def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float | None]:
     """The thm23, eq9, eq10 and q_form cells of one tails row: each bound
-    whose hypotheses hold at (params, part, t), else ``None``."""
+    whose hypotheses hold at (params, part, t), else ``None``.  They depend on
+    l only through ``_bounded``."""
     thm23 = eq9 = eq10 = q_form = None
-    if params.l >= 1 and not params.is_degenerate_2l:
+    if _bounded(params):
         if part in (Part.REAL, Part.IMAG):
             thm23 = bounds.tail_bound_uv(params.N, t)
             if 2 * params.m < params.N:
@@ -283,6 +289,34 @@ def _tail_bound_cells(params: ModelParams, part: Part, t: float) -> list[float |
         elif part is Part.MODULUS_CENTERED:
             thm23 = bounds.tail_bound_mod(params.N, t)
     return [thm23, eq9, eq10, q_form]
+
+
+@dataclass(frozen=True, eq=False)
+class _TailColumns:
+    """The formatted cells of a tails table that depend only on N, m, the
+    part, the grid and ``_bounded``: ``t`` per row and the four bound cells,
+    joined, per row."""
+
+    t: tuple[str, ...]
+    bounds: tuple[str, ...]
+
+    @property
+    def nbytes(self) -> int:
+        cells = self.t + self.bounds
+        return sys.getsizeof(self.t) + sys.getsizeof(self.bounds) + sum(map(sys.getsizeof, cells))
+
+
+def _tail_columns(params: ModelParams, part: Part, grid: GridSpec) -> _TailColumns:
+    ts = grid.resolve(params.N).tolist()
+    return _TailColumns(
+        tuple(_fmt(t) for t in ts),
+        tuple(",".join(_fmt(v) for v in _tail_bound_cells(params, part, t)) for t in ts),
+    )
+
+
+#: Byte bound on the formatted tails columns kept across points and commands.
+TAIL_COLUMNS_BYTES = 8 << 20
+_TAIL_COLUMNS = oracle._ByteCache(TAIL_COLUMNS_BYTES)
 
 
 def _modulus_centers(
@@ -324,28 +358,28 @@ def _tails_point(
     params: ModelParams, cfg: RunConfig, acc: Accumulator | None
 ) -> list[tuple[str, list[list[str]]]]:
     ts = cfg.t_grid.resolve(params.N)
-    exact_curves: dict[Part, np.ndarray] = {}
-    if params.N <= cfg.max_enum_n:
-        for part in cfg.parts:
-            exact_curves[part] = oracle.exact_tail_curve(
-                params, part, ts, max_enum_n=cfg.max_enum_n
-            )
     files = []
     for part in cfg.parts:
-        rows = []
-        for i, t in enumerate(ts):
-            t = float(t)
-            exact = None if part not in exact_curves else float(exact_curves[part][i])
-            est = mc_tail(acc, part, t) if acc is not None else None
-            rows.append(
-                [
-                    _fmt(t),
-                    _fmt(exact),
-                    _fmt(None if est is None else est.estimate),
-                    _fmt(None if est is None else est.half_width),
-                ]
-                + [_fmt(v) for v in _tail_bound_cells(params, part, t)]
-            )
+        # eq9 and eq10 alone read m, and only where 2m < N.
+        m = params.m if 2 * params.m < params.N else 0
+        columns = _TAIL_COLUMNS.get(
+            (params.N, m, part, cfg.t_grid, _bounded(params)),
+            lambda *key: _tail_columns(params, part, cfg.t_grid),
+        )
+        exact = mc = [""] * len(ts)
+        halfwidth = ""
+        if params.N <= cfg.max_enum_n:
+            curve = oracle.exact_tail_curve(params, part, ts, max_enum_n=cfg.max_enum_n)
+            exact = [_fmt(v) for v in curve.tolist()]
+        if acc is not None and len(ts):
+            # The interval is one Hoeffding width per run; each estimate is
+            # the hit fraction ``mc_tail`` returns.
+            halfwidth = _fmt(mc_tail(acc, part, float(ts[0])).half_width)
+            mc = [_fmt(acc.threshold_hits[(part, t)] / acc.n) for t in ts.tolist()]
+        rows = [
+            [t, e, est, halfwidth, cells]
+            for t, e, est, cells in zip(columns.t, exact, mc, columns.bounds)
+        ]
         name = f"tails_N{params.N}_l{params.l}_m{params.m}_{part.value}.csv"
         files.append((name, rows))
     return files

@@ -14,8 +14,11 @@ m^k (N-m)^(N-k) / N^N rounded once to float64.
 
 The law does not depend on m, and the atom multiset at frequency l equals
 the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
-Laws live in one cache bounded in bytes (``LAW_CACHE_BYTES``).  A build is
-refused as soon as its count table would pass ``LAW_BUILD_BYTES``.
+Every exact query is answered once per class: its answer is kept with the
+law under (query, m, part, arguments), and the other l of the class read
+it.  Laws and answers live in one cache bounded in bytes
+(``LAW_CACHE_BYTES``).  A build is refused as soon as its count table would
+pass ``LAW_BUILD_BYTES``.
 
 The exp-moment psi2 norm is located by one bisection (``_psi2_bisect``),
 which the Monte Carlo estimator shares with the exact one.
@@ -27,7 +30,7 @@ import enum
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +48,8 @@ DEFAULT_ENUM_GUARD = 24
 HARD_ENUM_CAP = 26
 #: Tag of the exact-law construction; exact artifact cells depend on it.
 LAW_ALGORITHM = "cyclotomic-keys-v1"
-#: Byte bound on the cache of laws shared across m and frequency classes.
+#: Byte bound on the cache of laws, shared across m and frequency classes,
+#: and of the answers computed from them.
 LAW_CACHE_BYTES = 64 << 20
 #: Byte bound on one law's count table; a build that would pass it is refused.
 LAW_BUILD_BYTES = 256 << 20
@@ -317,48 +321,100 @@ def _build_law(N: int, g: int, part: Part) -> _Law:
     return law
 
 
-class _LawCache:
-    """Laws keyed by (N, gcd(l, N) mod N, part), bounded in bytes.
+#: Bytes charged per cached answer on top of the arrays in its key and
+#: value: the table slot, the key tuple and the boxed result.
+_ANSWER_BYTES = 256
 
-    Least recently used laws are evicted first; a law larger than the bound
-    is returned but not kept.  Each key is built by one thread at a time, so
-    concurrent requests for a missing law wait for the first build instead
-    of repeating it.
+
+@dataclass(eq=False)
+class _Entry:
+    """One cached value, its answers and the bytes both hold."""
+
+    value: object
+    nbytes: int
+    answers: dict = field(default_factory=dict)
+
+
+def _answer_bytes(query: tuple, result) -> int:
+    arrays = [x for x in (*query, result) if isinstance(x, (np.ndarray, bytes))]
+    return _ANSWER_BYTES + sum(x.nbytes if isinstance(x, np.ndarray) else len(x) for x in arrays)
+
+
+class _ByteCache:
+    """Values keyed by tuples, each with a table of answers computed from it,
+    bounded in bytes: a value counts its ``nbytes``, an answer its arrays
+    plus ``_ANSWER_BYTES``.
+
+    Least recently used entries are evicted first, their answers with them;
+    a value larger than the bound is returned but not kept, and keeps no
+    answers.  A missing key is built by one thread at a time, so concurrent
+    requests for it wait for the first build instead of repeating it.
     """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._laws: OrderedDict[tuple, _Law] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.Lock()
-        # One lock per key ever requested; keys are bounded by the hard cap.
-        self._key_locks: dict[tuple, threading.Lock] = {}
+        # Keys being built, each with the event its waiters block on.
+        self._building: dict[tuple, threading.Event] = {}
 
-    def get(self, key: tuple, build) -> _Law:
+    def get(self, key: tuple, build):
+        """The value at ``key``, built by ``build(*key)`` if missing."""
+        return self._entry(key, build).value
+
+    def answer(self, key: tuple, build, query: tuple, compute):
+        """``compute(value)`` for the value at ``key``, kept with that value
+        under ``query`` while the value stays cached."""
+        entry = self._entry(key, build)
         with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            with self._lock:
-                law = self._laws.get(key)
-                if law is not None:
-                    self._laws.move_to_end(key)
-                    return law
-            law = build(*key)
-            with self._lock:
-                self._insert(key, law)
-            return law
+            if query in entry.answers:
+                return entry.answers[query]
+        result = compute(entry.value)
+        with self._lock:
+            if self._entries.get(key) is entry and query not in entry.answers:
+                size = _answer_bytes(query, result)
+                entry.answers[query] = result
+                entry.nbytes += size
+                self.nbytes += size
+                self._entries.move_to_end(key)
+                self._evict()
+        return result
 
-    def _insert(self, key: tuple, law: _Law) -> None:
-        if law.nbytes > self.max_bytes:
-            return
-        while self.nbytes + law.nbytes > self.max_bytes:
-            _, old = self._laws.popitem(last=False)
+    def _entry(self, key: tuple, build) -> _Entry:
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    return entry
+                done = self._building.get(key)
+                if done is None:
+                    done = self._building[key] = threading.Event()
+                    break
+            # Another thread builds this key; if it kept nothing, try again.
+            done.wait()
+        try:
+            value = build(*key)
+            entry = _Entry(value, value.nbytes)
+            with self._lock:
+                if entry.nbytes <= self.max_bytes:
+                    self._entries[key] = entry
+                    self.nbytes += entry.nbytes
+                    self._evict()
+        finally:
+            with self._lock:
+                del self._building[key]
+            done.set()
+        return entry
+
+    def _evict(self) -> None:
+        while self.nbytes > self.max_bytes:
+            _, old = self._entries.popitem(last=False)
             self.nbytes -= old.nbytes
-        self._laws[key] = law
-        self.nbytes += law.nbytes
 
 
-_LAWS = _LawCache(LAW_CACHE_BYTES)
+_LAWS = _ByteCache(LAW_CACHE_BYTES)
 
 
 def _law(N: int, g: int, part: Part) -> _Law:
@@ -379,19 +435,21 @@ def _check_guard(params: ModelParams, max_enum_n: int) -> None:
         )
 
 
-def _dist_arrays(
-    params: ModelParams, part: Part, max_enum_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped values and probabilities of one part: the entry point of every
-    exact query.  The law is shared by every l with the same gcd(l, N) (same
-    atom multiset) and every m (the popcount weights apply here)."""
+def _law_key(params: ModelParams, part: Part, max_enum_n: int) -> tuple:
+    """Cache key (N, gcd(l, N) mod N, part) of the law ``part`` reads at
+    ``params``.  The guard and part checks run here, before any lookup, so a
+    cached law or answer never skips a refusal."""
     _check_guard(params, max_enum_n)
     if not isinstance(part, Part):
         raise ParameterDomainError(f"part must be a Part, got {part!r}")
-    N = params.N
     base = Part.MODULUS if part is Part.MODULUS_CENTERED else part
-    law = _law(N, math.gcd(params.l, N) % N, base)
-    probs = weight_table(N, params.m) @ law.counts
+    return (params.N, math.gcd(params.l, params.N) % params.N, base)
+
+
+def _weigh(law: _Law, params: ModelParams, part: Part) -> tuple[np.ndarray, np.ndarray]:
+    """Values and probabilities of ``part`` at ``params`` from its law: the
+    popcount weights of m apply here."""
+    probs = weight_table(params.N, params.m) @ law.counts
     values = law.values
     if part is Part.MODULUS_CENTERED:
         # Subtract the exact expected modulus computed in the same pass; no
@@ -404,6 +462,29 @@ def _dist_arrays(
     values.flags.writeable = False
     probs.flags.writeable = False
     return values, probs
+
+
+def _dist_arrays(
+    params: ModelParams, part: Part, max_enum_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped values and probabilities of one part.  The law is shared by
+    every l with the same gcd(l, N) (same atom multiset) and every m."""
+    return _weigh(_LAWS.get(_law_key(params, part, max_enum_n), _build_law), params, part)
+
+
+def _answer(params: ModelParams, part: Part, max_enum_n: int, query: tuple, compute):
+    """``compute(values, probs)`` for ``part`` at ``params``, kept with the
+    law under (query name, m, part, arguments): the entry point of every exact
+    query, computed once per frequency class.  An array result is read-only."""
+
+    def cold(law: _Law):
+        result = compute(*_weigh(law, params, part))
+        if isinstance(result, np.ndarray):
+            result.flags.writeable = False
+        return result
+
+    key = _law_key(params, part, max_enum_n)
+    return _LAWS.answer(key, _build_law, (query[0], params.m, part, *query[1:]), cold)
 
 
 def enumerate_distribution(
@@ -435,8 +516,10 @@ def exact_moment(
     _require_real_part(part)
     if not isinstance(order, int) or order < 1:
         raise ParameterDomainError(f"order must be a positive integer, got {order!r}")
-    values, probs = _dist_arrays(params, part, max_enum_n)
-    return float(np.dot(probs, values**order))
+    return _answer(
+        params, part, max_enum_n, ("moment", order),
+        lambda values, probs: float(np.dot(probs, values**order)),
+    )
 
 
 def exact_tail(
@@ -470,7 +553,13 @@ def exact_tail_curve(
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and (not np.isfinite(ts).all() or (ts < 0).any()):
         raise ParameterDomainError("all thresholds must be finite and nonnegative")
-    values, probs = _dist_arrays(params, part, max_enum_n)
+    return _answer(
+        params, part, max_enum_n, ("tail_curve", ts.shape, ts.tobytes()),
+        lambda values, probs: _tail_curve(values, probs, ts),
+    )
+
+
+def _tail_curve(values: np.ndarray, probs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     order = np.argsort(np.abs(values), kind="stable")
     sorted_abs = np.abs(values)[order]
     suffix = np.cumsum(probs[order][::-1])[::-1]
@@ -506,8 +595,11 @@ def exact_exp_moment(
     _require_real_part(part)
     if not (np.isfinite(K) and K > 0):
         raise ParameterDomainError(f"K must be a positive real, got {K!r}")
-    values, probs = _dist_arrays(params, part, max_enum_n)
-    return _exp_moment_from_arrays(values, probs, K)
+    K = float(K)
+    return _answer(
+        params, part, max_enum_n, ("exp_moment", K),
+        lambda values, probs: _exp_moment_from_arrays(values, probs, K),
+    )
 
 
 def _psi2_bisect(objective, N: int, tol: float) -> tuple[float, float] | None:
@@ -551,12 +643,17 @@ def exact_psi2_norm(
     _require_real_part(part)
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
-    values, probs = _dist_arrays(params, part, max_enum_n)
+    tol = float(tol)
+    return _answer(
+        params, part, max_enum_n, ("psi2_norm", tol),
+        lambda values, probs: _psi2_norm(values, probs, params.N, tol),
+    )
+
+
+def _psi2_norm(values: np.ndarray, probs: np.ndarray, N: int, tol: float) -> Psi2Estimate:
     bracket = None
     if float(np.abs(values).max(initial=0.0)) > VALUE_GROUPING_TOL:
-        bracket = _psi2_bisect(
-            lambda K: _exp_moment_from_arrays(values, probs, K), params.N, tol
-        )
+        bracket = _psi2_bisect(lambda K: _exp_moment_from_arrays(values, probs, K), N, tol)
     if bracket is None:
         return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
     lo, hi = bracket
@@ -586,7 +683,10 @@ def exact_psi2_moment_norm(
     interval.
     """
     _require_real_part(part)
-    values, probs = _dist_arrays(params, part, max_enum_n)
+    return _answer(params, part, max_enum_n, ("psi2_moment_norm",), _psi2_moment_norm)
+
+
+def _psi2_moment_norm(values: np.ndarray, probs: np.ndarray) -> Psi2Estimate:
     absv = np.abs(values)
     nz = absv > VALUE_GROUPING_TOL
     if not bool(nz.any()):

@@ -10,6 +10,7 @@ can never drift apart.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +42,16 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def check(self, condition: bool, message: str) -> None:
+    def check(self, condition: bool, message: Callable[[], str]) -> None:
+        """Count one check.  ``message`` builds the failure text; it is called
+        only when the check fails and fewer than ``_FAILURE_CAP`` failures are
+        recorded, since most checks pass."""
         if condition:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(message)
+                self.failures.append(message())
             elif len(self.failures) == _FAILURE_CAP:
                 self.failures.append("... further failures elided")
 
@@ -106,7 +110,7 @@ def suite_moments(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
         }
         for label, dev in deviations.items():
             worst = max(worst, dev)
-            res.check(dev <= 1e-12, f"{label} deviates by {dev:.3e} at {params}")
+            res.check(dev <= 1e-12, lambda: f"{label} deviates by {dev:.3e} at {params}")
     res.worst_slack = worst
     return res
 
@@ -124,16 +128,16 @@ def _match_pmf(
         k = round(float(v))
         res.check(
             abs(v - k) <= 1e-9 and k in support,
-            f"non-integer or out-of-support atom {v!r} at {params}",
+            lambda: f"non-integer or out-of-support atom {v!r} at {params}",
         )
         expected = pmf(k)
         dev = abs(p - expected)
-        res.check(dev <= 1e-12, f"atom {k} off by {dev:.3e} at {params}")
+        res.check(dev <= 1e-12, lambda: f"atom {k} off by {dev:.3e} at {params}")
         res.track_slack(-dev)
         matched_mass += expected
     res.check(
         abs(matched_mass - 1.0) <= 1e-12,
-        f"matched mass {matched_mass} misses atoms at {params}",
+        lambda: f"matched mass {matched_mass} misses atoms at {params}",
     )
 
 
@@ -174,16 +178,20 @@ def suite_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
         (Part.IMAG, bounds.tail_bound_uv),
         (Part.MODULUS_CENTERED, bounds.tail_bound_mod),
     )
+    # Bound values over the grid, once per (bound, N): they do not depend on l or m.
+    rows: dict = {}
     for params in criterion_params():
         ts = t_grid(params.N)
         for part, bound_fn in cases:
             exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
-            for t, ex in zip(ts, exact):
-                b = bound_fn(params.N, float(t))
+            key = (bound_fn, params.N)
+            if key not in rows:
+                rows[key] = [bound_fn(params.N, float(t)) for t in ts]
+            for t, ex, b in zip(ts, exact, rows[key]):
                 res.track_slack(b - ex)
                 res.check(
                     ex <= b + DOMINATION_EPS,
-                    f"exact tail {ex:.6g} exceeds bound {b:.6g} at t={t:.6g}, "
+                    lambda: f"exact tail {ex:.6g} exceeds bound {b:.6g} at t={t:.6g}, "
                     f"{part.value}, {params}",
                 )
     return res
@@ -196,21 +204,29 @@ def suite_entropy_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteRes
     suite and is itemized.
     """
     res = SuiteResult("entropy_tails", slack_kind="min_bound_minus_exact")
+    # Bound values over the grid, once per (N, m): they do not depend on l.
+    rows: dict = {}
     for params in criterion_params():
-        if 2 * params.m >= params.N:
+        N, m = params.N, params.m
+        if 2 * m >= N:
             continue
-        ts = t_grid(params.N)
+        ts = t_grid(N)
+        if (N, m) not in rows:
+            rows[N, m] = [
+                (
+                    ("entropy", bounds.tail_bound_entropy(N, m, float(t))),
+                    ("combined", bounds.tail_bound_combined(N, m, float(t))),
+                )
+                for t in ts
+            ]
         for part in (Part.REAL, Part.IMAG):
             exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
-            for t, ex in zip(ts, exact):
-                for name, b in (
-                    ("entropy", bounds.tail_bound_entropy(params.N, params.m, float(t))),
-                    ("combined", bounds.tail_bound_combined(params.N, params.m, float(t))),
-                ):
+            for t, ex, row in zip(ts, exact, rows[N, m]):
+                for name, b in row:
                     res.track_slack(b - ex)
                     res.check(
                         ex <= b + DOMINATION_EPS,
-                        f"exact tail {ex:.6g} exceeds {name} bound {b:.6g} at "
+                        lambda: f"exact tail {ex:.6g} exceeds {name} bound {b:.6g} at "
                         f"t={t:.6g}, {part.value}, {params}",
                     )
     return res
@@ -225,24 +241,24 @@ def suite_crossover() -> SuiteResult:
         verdict = bounds.crossover_region(N, m)
         res.check(
             verdict.kind is bounds.CrossoverKind.SECOND_FOR_ALL_T,
-            f"expected second-for-all-t at (N={N}, m={m}), got {verdict.kind.value}",
+            lambda: f"expected second-for-all-t at (N={N}, m={m}), got {verdict.kind.value}",
         )
     for N, m in first_cases:
         verdict = bounds.crossover_region(N, m)
         res.check(
             verdict.kind is bounds.CrossoverKind.FIRST_BEYOND_T_STAR,
-            f"expected first-beyond-t* at (N={N}, m={m}), got {verdict.kind.value}",
+            lambda: f"expected first-beyond-t* at (N={N}, m={m}), got {verdict.kind.value}",
         )
     # Boundary behavior: one multiplier below/at the flip.
     res.check(
         bounds.crossover_region(47 * 48, 48).kind
         is bounds.CrossoverKind.FIRST_BEYOND_T_STAR,
-        "multiplier 47 should leave the first branch in charge beyond t*",
+        lambda: "multiplier 47 should leave the first branch in charge beyond t*",
     )
     res.check(
         bounds.crossover_region(48 * 48, 48).kind
         is bounds.CrossoverKind.SECOND_FOR_ALL_T,
-        "multiplier 48 should hand every t to the second branch",
+        lambda: "multiplier 48 should hand every t to the second branch",
     )
     # Branch consistency across the small grid and the named cases.
     pairs = sorted(
@@ -262,16 +278,16 @@ def suite_crossover() -> SuiteResult:
 
         if verdict.kind is bounds.CrossoverKind.SECOND_FOR_ALL_T:
             ok = all(second_exp(t) >= first_exp(t) - DOMINATION_EPS for t in ts)
-            res.check(ok, f"second branch loses somewhere on the grid at (N={N}, m={m})")
+            res.check(ok, lambda: f"second branch loses somewhere on the grid at (N={N}, m={m})")
         else:
             t_star = verdict.t_star
             res.check(
                 first_exp(2 * t_star) > second_exp(2 * t_star),
-                f"first branch fails to win at 2 t* for (N={N}, m={m})",
+                lambda: f"first branch fails to win at 2 t* for (N={N}, m={m})",
             )
             res.check(
                 first_exp(t_star / 2) < second_exp(t_star / 2),
-                f"first branch wins too early at t*/2 for (N={N}, m={m})",
+                lambda: f"first branch wins too early at t*/2 for (N={N}, m={m})",
             )
     return res
 
@@ -290,7 +306,7 @@ def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResu
             res.track_slack(b - exact)
             res.check(
                 exact <= b * (1.0 + 1e-12) + DOMINATION_EPS,
-                f"E[U^{2 * n}] = {exact:.6g} exceeds bound {b:.6g} at {params}",
+                lambda: f"E[U^{2 * n}] = {exact:.6g} exceeds bound {b:.6g} at {params}",
             )
         root_n = math.sqrt(params.N)
         for mult in _K_PROBES:
@@ -300,14 +316,14 @@ def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResu
             res.track_slack(b - exact)
             res.check(
                 exact <= b * (1.0 + 1e-12) + DOMINATION_EPS,
-                f"E[exp(U^2/K^2)] = {exact:.6g} exceeds bound {b:.6g} "
+                lambda: f"E[exp(U^2/K^2)] = {exact:.6g} exceeds bound {b:.6g} "
                 f"at K={K:.6g}, {params}",
             )
     for N in range(1, 13):
         sanity = bounds.exp_moment_bound(N, bounds.psi2_upper(N))
         res.check(
             abs(sanity - 2.0) <= 1e-9,
-            f"exp_moment_bound(N, psi2_upper(N)) = {sanity!r} at N={N}, not 2 within 1e-9",
+            lambda: f"exp_moment_bound(N, psi2_upper(N)) = {sanity!r} at N={N}, not 2 within 1e-9",
         )
     return res
 
@@ -322,19 +338,19 @@ def suite_psi2(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
         res.track_slack(upper - est.norm)
         res.check(
             est.norm <= upper + 1e-9,
-            f"exp-moment psi2 norm {est.norm:.6g} exceeds {upper:.6g} at {params}",
+            lambda: f"exp-moment psi2 norm {est.norm:.6g} exceeds {upper:.6g} at {params}",
         )
-        dist = oracle.enumerate_distribution(params, Part.REAL, max_enum_n=max_enum_n)
-        sup_value = float(np.abs(dist.values).max(initial=0.0))
+        values, _ = oracle._dist_arrays(params, Part.REAL, max_enum_n)
+        sup_value = float(np.abs(values).max(initial=0.0))
         mom = oracle.exact_psi2_moment_norm(params, Part.REAL, max_enum_n=max_enum_n)
         res.check(
             mom.norm <= sup_value + 1e-9,
-            f"moment-sup norm {mom.norm:.6g} exceeds sup norm {sup_value:.6g} at {params}",
+            lambda: f"moment-sup norm {mom.norm:.6g} exceeds sup norm {sup_value:.6g} at {params}",
         )
     for N in range(2, 13):
         res.check(
             bounds.psi2_upper(N) <= bounds.psi2_sup_upper(N),
-            f"sqrt(N) bound should undercut the sup-norm bound for N={N} >= 2",
+            lambda: f"sqrt(N) bound should undercut the sup-norm bound for N={N} >= 2",
         )
     # N = 1 is the one size where the sup-norm route is tighter; report, don't rank.
     res.details["psi2_upper_coefficient"] = bounds.PSI2_UPPER_COEFFICIENT
@@ -348,13 +364,13 @@ def suite_psi2(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     res.details["three_point_target"] = target
     res.check(
         abs(closed.norm - target) <= 1e-9,
-        f"three-point psi2 norm {closed.norm!r} differs from 1/sqrt(ln 3) = {target!r}",
+        lambda: f"three-point psi2 norm {closed.norm!r} differs from 1/sqrt(ln 3) = {target!r}",
     )
     # N = 2 cannot appear in the exhaustive grid (its only frequency is the
     # degenerate l = 1); check the bound there through the closed case.
     res.check(
         closed.norm <= bounds.psi2_upper(2) + 1e-9,
-        f"three-point norm {closed.norm!r} exceeds psi2_upper(2)",
+        lambda: f"three-point norm {closed.norm!r} exceeds psi2_upper(2)",
     )
     return res
 
@@ -382,7 +398,7 @@ def suite_qfunction() -> SuiteResult:
     res.details["q_at_1_quadrature"] = ref1
     res.check(
         abs(q1 - ref1) <= 1e-10,
-        f"Q(1) = {q1!r} differs from quadrature {ref1!r} beyond 1e-10",
+        lambda: f"Q(1) = {q1!r} differs from quadrature {ref1!r} beyond 1e-10",
     )
     xs = np.geomspace(1e-3, 10.0, 100)
     worst_rel = 0.0
@@ -393,10 +409,10 @@ def suite_qfunction() -> SuiteResult:
         lower, upper = bounds.q_sandwich(float(x))
         res.check(
             lower < q < upper,
-            f"sandwich not strict at x={x:.6g}: {lower!r} vs {q!r} vs {upper!r}",
+            lambda: f"sandwich not strict at x={x:.6g}: {lower!r} vs {q!r} vs {upper!r}",
         )
     res.details["worst_relative_q_error"] = worst_rel
-    res.check(worst_rel <= 1e-12, f"Q relative error {worst_rel:.3e} beyond 1e-12")
+    res.check(worst_rel <= 1e-12, lambda: f"Q relative error {worst_rel:.3e} beyond 1e-12")
     for N in range(3, 13):
         for t in t_grid(N)[1:]:
             qb = bounds.tail_bound_q(N, float(t))
@@ -404,7 +420,8 @@ def suite_qfunction() -> SuiteResult:
             res.track_slack(qb - uv)
             res.check(
                 qb >= uv - DOMINATION_EPS,
-                f"Q-form bound {qb:.6g} under the direct bound {uv:.6g} at N={N}, t={t:.6g}",
+                lambda: f"Q-form bound {qb:.6g} under the direct bound {uv:.6g} "
+                f"at N={N}, t={t:.6g}",
             )
     return res
 
@@ -425,10 +442,10 @@ def suite_montecarlo(
     acc = mc_run(params, queries, cfg, workers=1)
     acc_again = mc_run(params, queries, cfg, workers=1)
     acc_many = mc_run(params, queries, cfg, workers=workers_many)
-    res.check(acc == acc_again, "two identical runs differ bit-for-bit")
+    res.check(acc == acc_again, lambda: "two identical runs differ bit-for-bit")
     res.check(
         acc == acc_many,
-        f"1-worker and {workers_many}-worker runs differ bit-for-bit",
+        lambda: f"1-worker and {workers_many}-worker runs differ bit-for-bit",
     )
     exact_second = params.m * (params.N - params.m) / (2 * params.N)
     second = mc_moment(acc, Part.REAL, 2)
@@ -439,7 +456,8 @@ def suite_montecarlo(
     }
     res.check(
         second.covers(exact_second),
-        f"second moment {second.estimate!r} +/- {second.half_width!r} misses {exact_second!r}",
+        lambda: f"second moment {second.estimate!r} +/- {second.half_width!r} "
+        f"misses {exact_second!r}",
     )
     exact_tail_value = oracle.exact_tail(params, Part.REAL, 1.0, max_enum_n=max_enum_n)
     tail = mc_tail(acc, Part.REAL, 1.0)
@@ -450,7 +468,7 @@ def suite_montecarlo(
     }
     res.check(
         tail.covers(exact_tail_value),
-        f"tail {tail.estimate!r} +/- {tail.half_width!r} misses {exact_tail_value!r}",
+        lambda: f"tail {tail.estimate!r} +/- {tail.half_width!r} misses {exact_tail_value!r}",
     )
     return res
 

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 import spectral_mask
-from spectral_mask import bounds, cli, montecarlo, oracle
+from spectral_mask import bounds, cli, montecarlo, oracle, verify
 from spectral_mask.cli import (
     CROSSOVER_HEADER,
     PSI2_HEADER,
@@ -206,6 +206,37 @@ class TestVerifyCommand:
         assert summary["all_passed"] is False
         assert summary["suites"]["tails"]["failed"] > 0
 
+    def test_failure_messages_built_only_when_recorded(self, monkeypatch):
+        # A zero modulus bound fails every modulus_centered check with a
+        # positive exact tail; the real and imaginary checks still pass.
+        monkeypatch.setattr(bounds, "tail_bound_mod", lambda N, t: 0.0)
+        built = {True: 0, False: 0}
+        check = verify.SuiteResult.check
+
+        def counting(self, condition, message):
+            def counted():
+                built[bool(condition)] += 1
+                return message()
+
+            check(self, condition, counted)
+
+        monkeypatch.setattr(verify.SuiteResult, "check", counting)
+        result = verify.suite_tails()
+        expected = []
+        for params in verify.criterion_params():
+            ts = verify.t_grid(params.N)
+            exact = oracle.exact_tail_curve(params, Part.MODULUS_CENTERED, ts)
+            for t, ex in zip(ts, exact):
+                if ex > verify.DOMINATION_EPS:
+                    expected.append(
+                        f"exact tail {ex:.6g} exceeds bound {0.0:.6g} at t={t:.6g}, "
+                        f"modulus_centered, {params}"
+                    )
+        assert result.failed == len(expected) > verify._FAILURE_CAP
+        assert result.passed > 0
+        assert result.failures == expected[: verify._FAILURE_CAP] + ["... further failures elided"]
+        assert built == {True: 0, False: verify._FAILURE_CAP}
+
 
 class TestTailsCommand:
     def test_small_grid_file(self, tmp_path):
@@ -279,7 +310,7 @@ class TestTailsCommand:
 
     def test_law_over_byte_budget_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", 1 << 18)
-        monkeypatch.setattr(oracle, "_LAWS", oracle._LawCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
         path = write_config(
             tmp_path,
             {"n_grid": [16], "l_grid": [1], "m_grid": [3], "parts": ["modulus"], "mc": {"samples": 0}},
@@ -373,6 +404,68 @@ class TestWorkerInvariance:
             outputs[workers] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
         assert len(outputs[1]) == 13  # twelve tails files and psi2.csv
         assert outputs[1] == outputs[3]
+
+
+class TestClassCaches:
+    def test_warm_caches_write_cold_bytes(self, tmp_path, monkeypatch):
+        # Several l per frequency class at N = 10 and 12, l = 0 and N = 2l
+        # among them, every real-valued part; Monte Carlo reads no cache and
+        # is off.  One process
+        # runs verify, tails, psi2 and verify again on shared caches; each l
+        # then runs alone on fresh caches, and all l once more in reverse.
+        ls = [1, 5, 7, 11, 2, 10, 3, 9, 4, 8, 6, 0]
+
+        def fresh():
+            monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+            monkeypatch.setattr(cli, "_TAIL_COLUMNS", oracle._ByteCache(cli.TAIL_COLUMNS_BYTES))
+
+        def run(out, l_grid, psi2_rows):
+            path = write_config(
+                tmp_path,
+                {
+                    "n_grid": [10, 12],
+                    "l_grid": l_grid,
+                    "m_grid": [1, 3, 6, 12],
+                    "parts": ["real", "imag", "modulus", "modulus_centered"],
+                    "mc": {"samples": 0},
+                },
+            )
+            for command in ("tails", "psi2"):
+                assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+            psi2_rows += (out / "psi2.csv").read_text().splitlines()[1:]
+
+        def tails_files(out):
+            return {f.name: f.read_bytes() for f in sorted(out.glob("tails_*.csv"))}
+
+        (tmp_path / "verify").mkdir()
+        verify = write_config(tmp_path / "verify", {"suites": ["tails", "psi2"]})
+        summaries = []
+
+        def run_verify():
+            assert cli.main(["verify", "--config", verify, "--out", str(tmp_path / "verify")]) == 0
+            summaries.append((tmp_path / "verify" / "summary.json").read_bytes())
+
+        fresh()
+        run_verify()
+        warm_rows: list[str] = []
+        run(tmp_path / "warm", ls, warm_rows)
+        run_verify()
+        cold_rows: list[str] = []
+        for l in ls:
+            fresh()
+            run(tmp_path / "cold", [l], cold_rows)
+        fresh()
+        run_verify()
+        reversed_rows: list[str] = []
+        run(tmp_path / "reversed", ls[::-1], reversed_rows)
+
+        warm = tails_files(tmp_path / "warm")
+        assert len(warm) == (10 * 3 + 12 * 4) * 4  # N = 10: ten l and three m
+        assert tails_files(tmp_path / "cold") == warm
+        assert tails_files(tmp_path / "reversed") == warm
+        assert sorted(cold_rows) == sorted(reversed_rows) == sorted(warm_rows)
+        assert len(warm_rows) == len(warm)
+        assert summaries[0] == summaries[1] == summaries[2]
 
 
 class TestRegistration:

@@ -421,7 +421,7 @@ class TestConvolutionLaw:
         # The complex law at N = 16 holds 6561 x 17 int32 counts (436 KiB).
         budget = 1 << 18
         monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
-        monkeypatch.setattr(oracle, "_LAWS", oracle._LawCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
         tracemalloc.start()
         try:
             with pytest.raises(CapabilityError, match="count budget"):
@@ -451,7 +451,7 @@ class TestConvolutionLaw:
 
 class TestLawCache:
     def test_concurrent_requests_build_once(self):
-        cache = oracle._LawCache(1 << 20)
+        cache = oracle._ByteCache(1 << 20)
         builds = []
         lock = threading.Lock()
 
@@ -489,14 +489,14 @@ class TestLawCache:
 
     def test_bytes_stay_under_bound(self):
         bound = 200_000
-        cache = oracle._LawCache(bound)
+        cache = oracle._ByteCache(bound)
         for N in range(1, 17):
             for part in (Part.REAL, Part.COMPLEX):
                 cache.get((N, 1 % N, part), oracle._build_law)
                 assert cache.nbytes <= bound
-                assert cache.nbytes == sum(law.nbytes for law in cache._laws.values())
-        assert (16, 1, Part.COMPLEX) not in cache._laws  # larger than the bound
-        assert (16, 1, Part.REAL) in cache._laws
+                assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+        assert (16, 1, Part.COMPLEX) not in cache._entries  # larger than the bound
+        assert (16, 1, Part.REAL) in cache._entries
 
     def test_module_cache_under_bound(self):
         for N in range(1, 17):
@@ -505,4 +505,111 @@ class TestLawCache:
                     oracle._dist_arrays(ModelParams(N, l, 1), part, DEFAULT_ENUM_GUARD)
         cache = oracle._LAWS
         assert 0 < cache.nbytes <= oracle.LAW_CACHE_BYTES
-        assert cache.nbytes == sum(law.nbytes for law in cache._laws.values())
+        assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+
+
+REAL_PARTS = [Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED]
+
+
+def class_queries(params, part):
+    """Every cached exact query at (params, part), each taking the guard."""
+    N = params.N
+    ts = np.arange(9) / 4 * math.sqrt(N)
+    return [
+        lambda **guard: exact_tail_curve(params, part, ts, **guard),
+        lambda **guard: exact_moment(params, part, 2, **guard),
+        lambda **guard: exact_moment(params, part, 3, **guard),
+        lambda **guard: exact_exp_moment(params, part, 0.8 * math.sqrt(N), **guard),
+        lambda **guard: exact_psi2_norm(params, part, 1e-6, **guard),
+        lambda **guard: exact_psi2_moment_norm(params, part, **guard),
+    ]
+
+
+def class_answers(params, part):
+    """The answers of ``class_queries`` as bytes or reprs, so that equal
+    answers are equal bit for bit."""
+    answers = [query() for query in class_queries(params, part)]
+    return [a.tobytes() if isinstance(a, np.ndarray) else repr(a) for a in answers]
+
+
+class TestClassAnswers:
+    def test_cached_answers_equal_cold(self, monkeypatch):
+        # l runs downward, so most warm answers were computed at another l
+        # of the same class.  The cold cache of each l builds its own laws;
+        # every answer in it is computed once, since answers are keyed by m.
+        warm = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+        for N in range(1, 13):
+            for l in reversed(range(N)):
+                cold = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                for m in range(1, N + 1):
+                    params = ModelParams(N, l, m)
+                    for part in REAL_PARTS:
+                        monkeypatch.setattr(oracle, "_LAWS", warm)
+                        got = class_answers(params, part)
+                        monkeypatch.setattr(oracle, "_LAWS", cold)
+                        assert got == class_answers(params, part), (params, part)
+        assert warm.nbytes == sum(entry.nbytes for entry in warm._entries.values())
+        # One answer table per frequency class and law, not per l: the real,
+        # imaginary, complex and modulus laws.
+        classes = {(N, math.gcd(l, N) % N) for N in range(1, 13) for l in range(N)}
+        assert len(warm._entries) == len(classes) * 4
+
+    def test_cached_arrays_read_only(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        ts = np.array([0.0, 1.0, 2.0])
+        curves = []
+        for params in (ModelParams(9, 2, 4), ModelParams(9, 4, 4)):  # a miss, then a hit
+            curves.append(exact_tail_curve(params, Part.REAL, ts))
+            assert not curves[-1].flags.writeable
+            with pytest.raises(ValueError):
+                curves[-1][0] = 0.5
+        assert curves[1] is curves[0]
+
+    def test_answer_bytes_and_eviction(self, monkeypatch):
+        laws = [oracle._build_law(10, g, Part.REAL) for g in (1, 2)]
+        budget = sum(law.nbytes for law in laws) + 40 * oracle._ANSWER_BYTES
+        cache = oracle._ByteCache(budget)
+        monkeypatch.setattr(oracle, "_LAWS", cache)
+
+        def bounded():
+            assert cache.nbytes <= budget
+            assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+
+        first = ModelParams(10, 1, 3)
+        exact_moment(first, Part.REAL, 2)
+        bounded()
+        entry = cache._entries[(10, 1, Part.REAL)]
+        assert entry.nbytes == laws[0].nbytes + oracle._ANSWER_BYTES
+        # Answers of the second class grow it until the first class, least
+        # recently used, is evicted with its answers.
+        k = 1
+        while (10, 1, Part.REAL) in cache._entries:
+            exact_moment(ModelParams(10, 2, 3), Part.REAL, k)
+            bounded()
+            k += 1
+        assert k > 2
+        exact_moment(first, Part.REAL, 4)
+        bounded()
+        assert list(cache._entries[(10, 1, Part.REAL)].answers) == [("moment", 3, Part.REAL, 4)]
+
+    def test_law_over_budget_keeps_no_answers(self, monkeypatch):
+        cache = oracle._ByteCache(1024)
+        monkeypatch.setattr(oracle, "_LAWS", cache)
+        first = exact_psi2_norm(ModelParams(12, 1, 5), Part.REAL)
+        assert repr(exact_psi2_norm(ModelParams(12, 5, 5), Part.REAL)) == repr(first)
+        assert cache.nbytes == 0 and not cache._entries
+
+    def test_cached_answer_keeps_the_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        params = ModelParams(20, 1, 3)
+        for query in class_queries(params, Part.REAL):
+            query()
+            query()  # now an answer of the cache
+            with pytest.raises(CapabilityError):
+                query(max_enum_n=16)
+            with pytest.raises(ParameterDomainError):
+                query(max_enum_n=HARD_ENUM_CAP + 1)
+        with pytest.raises(ParameterDomainError):
+            exact_moment(params, Part.COMPLEX, 2)
+        with pytest.raises(ParameterDomainError):
+            exact_moment(params, Part.REAL, 0)
