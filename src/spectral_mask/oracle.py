@@ -46,8 +46,9 @@ from .model import (
 DEFAULT_ENUM_GUARD = 24
 #: Absolute ceiling on the guard override (2^26 masks).
 HARD_ENUM_CAP = 26
-#: Tag of the exact-law construction; exact artifact cells depend on it.
-LAW_ALGORITHM = "cyclotomic-keys-v1"
+#: Tag of the exact-law construction and of how exact tails are summed from
+#: it; exact artifact cells depend on it.
+LAW_ALGORITHM = "cyclotomic-keys-count-tails-v1"
 #: Byte bound on the cache of laws, shared across m and frequency classes,
 #: and of the answers computed from them.
 LAW_CACHE_BYTES = 64 << 20
@@ -446,15 +447,17 @@ def _law_key(params: ModelParams, part: Part, max_enum_n: int) -> tuple:
     return (params.N, math.gcd(params.l, params.N) % params.N, base)
 
 
+def _centered(law: _Law, probs: np.ndarray) -> np.ndarray:
+    """The modulus outcomes less the exact expected modulus under ``probs``,
+    computed in the same pass; no closed form for it is assumed anywhere."""
+    return law.values - float(np.dot(law.values, probs))
+
+
 def _weigh(law: _Law, params: ModelParams, part: Part) -> tuple[np.ndarray, np.ndarray]:
     """Values and probabilities of ``part`` at ``params`` from its law: the
     popcount weights of m apply here."""
     probs = weight_table(params.N, params.m) @ law.counts
-    values = law.values
-    if part is Part.MODULUS_CENTERED:
-        # Subtract the exact expected modulus computed in the same pass; no
-        # closed form for it is assumed anywhere.
-        values = values - float(np.dot(values, probs))
+    values = _centered(law, probs) if part is Part.MODULUS_CENTERED else law.values
     keep = probs > 0.0
     if not bool(keep.all()):
         values = values[keep]
@@ -548,25 +551,51 @@ def exact_tail_curve(
     *,
     max_enum_n: int = DEFAULT_ENUM_GUARD,
 ) -> np.ndarray:
-    """Vector of exact tails P(|X| >= t) for each t in ``ts``."""
+    """Vector of exact tails P(|X| >= t) for each t in ``ts``, each summed
+    over popcounts from exact mask counts (``_tail_counts``)."""
     _require_real_part(part)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and (not np.isfinite(ts).all() or (ts < 0).any()):
         raise ParameterDomainError("all thresholds must be finite and nonnegative")
-    return _answer(
-        params, part, max_enum_n, ("tail_curve", ts.shape, ts.tobytes()),
-        lambda values, probs: _tail_curve(values, probs, ts),
-    )
+    key = _law_key(params, part, max_enum_n)
+    grid = (ts.shape, ts.tobytes())
+
+    def law_counts(law: _Law) -> np.ndarray:
+        return _tail_counts(law.values, law.counts, ts.ravel())
+
+    def cold(law: _Law) -> np.ndarray:
+        weights = weight_table(params.N, params.m)
+        if part is Part.MODULUS_CENTERED:
+            # The center, and so the counts, depend on m.
+            counts = _tail_counts(_centered(law, weights @ law.counts), law.counts, ts.ravel())
+        else:
+            counts = _LAWS.answer(key, _build_law, ("tail_counts", *grid), law_counts)
+        curve = (weights @ counts).reshape(ts.shape)
+        curve.flags.writeable = False
+        return curve
+
+    return _LAWS.answer(key, _build_law, ("tail_curve", params.m, part, *grid), cold)
 
 
-def _tail_curve(values: np.ndarray, probs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    order = np.argsort(np.abs(values), kind="stable")
-    sorted_abs = np.abs(values)[order]
-    suffix = np.cumsum(probs[order][::-1])[::-1]
-    idx = np.searchsorted(sorted_abs, ts - VALUE_GROUPING_TOL, side="left")
-    out = np.zeros_like(ts)
-    inside = idx < sorted_abs.size
-    out[inside] = suffix[idx[inside]]
+def _tail_counts(values: np.ndarray, counts: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``S[k, j]``: the exact number of masks of popcount k whose outcome v
+    has |v| >= ts[j] - tol, for ascending ``values`` with count table
+    ``counts``.  The tail at m is then weight_table(N, m) @ S, a sum of N + 1
+    products rounded once each, however many outcomes the law has.
+
+    With s = t - tol, |v| >= s holds on the outcomes v <= -s, a prefix, and
+    v >= s, a suffix (on all of them once s <= 0), so S needs the cumulative
+    counts at two cuts per threshold only.
+    """
+    s = ts - VALUE_GROUPING_TOL
+    high = np.searchsorted(values, s, side="left")
+    low = np.minimum(np.searchsorted(values, -s, side="right"), high)
+    cuts = np.unique(np.concatenate(([0, values.size], low, high)))
+    cum = np.zeros((counts.shape[0], cuts.size), dtype=np.int64)
+    segments = np.add.reduceat(counts, cuts[:-1], axis=1, dtype=np.int64)
+    np.cumsum(segments, axis=1, out=cum[:, 1:])
+    out = cum[:, np.searchsorted(cuts, low)] + cum[:, -1:] - cum[:, np.searchsorted(cuts, high)]
+    out.flags.writeable = False
     return out
 
 

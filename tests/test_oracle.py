@@ -228,6 +228,32 @@ class TestExactTail:
         with pytest.raises(ParameterDomainError):
             exact_tail(ModelParams(4, 1, 2), Part.REAL, -0.5)
 
+    @pytest.mark.parametrize("N,l", [(5, 1), (6, 2), (8, 1), (8, 4)])
+    @pytest.mark.parametrize("part", [Part.REAL, Part.IMAG, Part.MODULUS])
+    def test_tail_counts_are_mask_counts(self, N, l, part):
+        # S[k, j] counts the masks of popcount k with |value| >= t_j - tol,
+        # exactly; the grid includes outcomes analytically at t (0, 1, 2).
+        ts = np.linspace(0.0, N, 2 * N + 1)
+        law = oracle._law(N, math.gcd(l, N) % N, part)
+        want = np.zeros((N + 1, ts.size), dtype=np.int64)
+        for bits in itertools.product((0, 1), repeat=N):
+            indices = [n for n, b in enumerate(bits, start=1) if b]
+            value = abs(evaluate(indices, ModelParams(N, l, 1), part))
+            want[len(indices)] += value >= ts - VALUE_GROUPING_TOL
+        assert np.array_equal(oracle._tail_counts(law.values, law.counts, ts), want)
+
+    def test_curve_sums_integer_counts(self):
+        # One rounding per popcount term, however many outcomes: the tail at
+        # t = 0 is 1 within 4 ulp on every law at N <= 12.
+        worst = 0.0
+        for N in range(1, 13):
+            for l in range(N):
+                for m in range(1, N + 1):
+                    for part in REAL_PARTS:
+                        curve = exact_tail_curve(ModelParams(N, l, m), part, np.zeros(1))
+                        worst = max(worst, abs(float(curve[0]) - 1.0))
+        assert worst <= 4 * np.spacing(1.0)
+
 
 class TestExactExpMoment:
     def test_limit_at_large_scale(self):
