@@ -358,10 +358,10 @@ def _tails_point(
     params: ModelParams, cfg: RunConfig, acc: Accumulator | None
 ) -> list[tuple[str, list[list[str]]]]:
     ts = cfg.t_grid.resolve(params.N)
+    # eq9 and eq10 alone read m, and only where 2m < N.
+    m = params.m if 2 * params.m < params.N else 0
     files = []
     for part in cfg.parts:
-        # eq9 and eq10 alone read m, and only where 2m < N.
-        m = params.m if 2 * params.m < params.N else 0
         columns = _TAIL_COLUMNS.get(
             (params.N, m, part, cfg.t_grid, _bounded(params)),
             lambda *key: _tail_columns(params, part, cfg.t_grid),

@@ -475,19 +475,15 @@ def _dist_arrays(
     return _weigh(_LAWS.get(_law_key(params, part, max_enum_n), _build_law), params, part)
 
 
-def _answer(params: ModelParams, part: Part, max_enum_n: int, query: tuple, compute):
+def _answer(params: ModelParams, part: Part, max_enum_n: int, compute, name: str, *args):
     """``compute(values, probs)`` for ``part`` at ``params``, kept with the
-    law under (query name, m, part, arguments): the entry point of every exact
-    query, computed once per frequency class.  An array result is read-only."""
-
-    def cold(law: _Law):
-        result = compute(*_weigh(law, params, part))
-        if isinstance(result, np.ndarray):
-            result.flags.writeable = False
-        return result
-
+    law under (name, m, part, *args), so each exact query is computed once
+    per frequency class."""
     key = _law_key(params, part, max_enum_n)
-    return _LAWS.answer(key, _build_law, (query[0], params.m, part, *query[1:]), cold)
+    return _LAWS.answer(
+        key, _build_law, (name, params.m, part, *args),
+        lambda law: compute(*_weigh(law, params, part)),
+    )
 
 
 def enumerate_distribution(
@@ -520,8 +516,8 @@ def exact_moment(
     if not isinstance(order, int) or order < 1:
         raise ParameterDomainError(f"order must be a positive integer, got {order!r}")
     return _answer(
-        params, part, max_enum_n, ("moment", order),
-        lambda values, probs: float(np.dot(probs, values**order)),
+        params, part, max_enum_n,
+        lambda values, probs: float(np.dot(probs, values**order)), "moment", order,
     )
 
 
@@ -626,8 +622,8 @@ def exact_exp_moment(
         raise ParameterDomainError(f"K must be a positive real, got {K!r}")
     K = float(K)
     return _answer(
-        params, part, max_enum_n, ("exp_moment", K),
-        lambda values, probs: _exp_moment_from_arrays(values, probs, K),
+        params, part, max_enum_n,
+        lambda values, probs: _exp_moment_from_arrays(values, probs, K), "exp_moment", K,
     )
 
 
@@ -674,8 +670,8 @@ def exact_psi2_norm(
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
     tol = float(tol)
     return _answer(
-        params, part, max_enum_n, ("psi2_norm", tol),
-        lambda values, probs: _psi2_norm(values, probs, params.N, tol),
+        params, part, max_enum_n,
+        lambda values, probs: _psi2_norm(values, probs, params.N, tol), "psi2_norm", tol,
     )
 
 
@@ -712,7 +708,7 @@ def exact_psi2_moment_norm(
     interval.
     """
     _require_real_part(part)
-    return _answer(params, part, max_enum_n, ("psi2_moment_norm",), _psi2_moment_norm)
+    return _answer(params, part, max_enum_n, _psi2_moment_norm, "psi2_moment_norm")
 
 
 def _psi2_moment_norm(values: np.ndarray, probs: np.ndarray) -> Psi2Estimate:
