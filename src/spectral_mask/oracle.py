@@ -14,9 +14,9 @@ m^k (N-m)^(N-k) / N^N rounded once to float64.
 
 The law does not depend on m, and the atom multiset at frequency l equals
 the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
-Every exact query is answered once per class: its answer is kept with the
-law under (query, m, part, arguments), and the other l of the class read
-it.  Laws and answers live in one cache bounded in bytes
+Tail curves, moments, exp-moments and both psi2 norms are answered once
+per class: each answer is kept with the law under (query, m, part,
+arguments), and the other l of the class read it.  Laws and answers live in one cache bounded in bytes
 (``LAW_CACHE_BYTES``).  A build is refused as soon as its count table would
 pass ``LAW_BUILD_BYTES``.
 

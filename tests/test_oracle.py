@@ -513,6 +513,44 @@ class TestLawCache:
         assert all(len(ids) == 1 for ids in got.values()) and len(got) == len(keys)
         assert cache.nbytes == 300
 
+    def test_concurrent_answers_keep_the_byte_count(self):
+        # Eight threads add answers to four keys in a cache that holds two
+        # values with a few answers, so entries are evicted and rebuilt
+        # while answers arrive; a lost update would break the byte count.
+        cache = oracle._ByteCache(2 * 1000 + 4 * oracle._ANSWER_BYTES)
+        got = []
+        lock = threading.Lock()
+        start = threading.Barrier(8)
+
+        def build(*key):
+            return SimpleNamespace(nbytes=1000)
+
+        def worker(i):
+            start.wait(timeout=10)
+            for j in range(300):
+                key, query = ((i + j) % 4,), ("q", j % 5)
+                answer = cache.answer(key, build, query, lambda value: (key, query))
+                with lock:
+                    got.append(answer == (key, query))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 * 300 and all(got)
+        assert cache.nbytes <= cache.max_bytes
+        assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+        for entry in cache._entries.values():
+            assert entry.nbytes == 1000 + len(entry.answers) * oracle._ANSWER_BYTES
+        assert not cache._building
+
     def test_bytes_stay_under_bound(self):
         bound = 200_000
         cache = oracle._ByteCache(bound)
@@ -561,17 +599,23 @@ def class_answers(params, part):
 class TestClassAnswers:
     def test_cached_answers_equal_cold(self, monkeypatch):
         # l runs downward, so most warm answers were computed at another l
-        # of the same class.  The cold cache of each l builds its own laws;
-        # every answer in it is computed once, since answers are keyed by m.
+        # of the same class.  Each (point, part) gets a fresh cold cache; it
+        # starts from the laws built at that l alone, to save rebuilding them.
         warm = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
         for N in range(1, 13):
             for l in reversed(range(N)):
-                cold = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                laws = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                monkeypatch.setattr(oracle, "_LAWS", laws)
+                for part in REAL_PARTS:
+                    oracle._dist_arrays(ModelParams(N, l, 1), part, DEFAULT_ENUM_GUARD)
                 for m in range(1, N + 1):
                     params = ModelParams(N, l, m)
                     for part in REAL_PARTS:
                         monkeypatch.setattr(oracle, "_LAWS", warm)
                         got = class_answers(params, part)
+                        cold = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                        for key, entry in laws._entries.items():
+                            cold.get(key, lambda *key, law=entry.value: law)
                         monkeypatch.setattr(oracle, "_LAWS", cold)
                         assert got == class_answers(params, part), (params, part)
         assert warm.nbytes == sum(entry.nbytes for entry in warm._entries.values())
