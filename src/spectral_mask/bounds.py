@@ -1,7 +1,7 @@
 """Closed-form identities and concentration bounds for the mask DFT variables.
 
-Pure stateless formula library: variance identities, the bounded-difference
-inequality and the tail bounds built from it, the entropy-coefficient tail
+Pure stateless formula library: variance identities, the tail bounds built
+from the bounded-difference inequality, the entropy-coefficient tail
 bound and its combined form with crossover classification, even-moment and
 exponential-moment bounds with the resulting psi2 upper bounds, the Gaussian
 Q-function with its exponential sandwich, and exact binomial helpers.
@@ -16,7 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import HypothesisViolationError, ParameterDomainError
 from .model import ModelParams
@@ -63,37 +62,6 @@ def variance_formula(params: ModelParams) -> tuple[float, float, float]:
     var_x = params.m * (params.N - params.m) / params.N
     half = 0.5 * var_x
     return var_x, half, half
-
-
-@dataclass(frozen=True)
-class McDiarmidCoefficients:
-    """Per-coordinate bounded-difference constants c_k >= 0."""
-
-    c: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.c, tuple):
-            object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        for x in self.c:
-            if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-                raise ParameterDomainError(
-                    f"bounded-difference constants must be finite and >= 0, got {x!r}"
-                )
-
-    @property
-    def sum_sq(self) -> float:
-        return math.fsum(x * x for x in self.c)
-
-
-def mcdiarmid_bound(c: McDiarmidCoefficients | Sequence[float], t: float) -> float:
-    """Bounded-difference tail bound 2 exp(-2 t^2 / sum c_k^2)."""
-    if not isinstance(c, McDiarmidCoefficients):
-        c = McDiarmidCoefficients(tuple(float(x) for x in c))
-    _check_tail_t(t)
-    ssq = c.sum_sq
-    if ssq <= 0.0:
-        raise ParameterDomainError("all-zero bounded-difference constants give no bound")
-    return 2.0 * math.exp(-2.0 * t * t / ssq)
 
 
 def tail_bound_uv(N: int, t: float) -> float:

@@ -614,7 +614,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if summary["all_passed"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call of the process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (see shipped config schema)")
     common.add_argument("--out", help="output directory")

@@ -20,12 +20,21 @@ BLAS thread count either.
 The lanes depend only on (N, seed), so one draw of a chunk serves every run
 with that N: ``mc_run_many`` and ``mc_psi2_many`` take many runs at once and
 share each draw among those with the same N, with one threshold compare per
-distinct m.  Masks are decided one block at a time into one reused buffer,
-so besides its runs' chunk samples (capped per group by ``_GROUP_BYTES``) a
-running unit holds one draw block (``_BLOCK_ELEMENTS``).  Every accumulator
-equals the one its run gets alone.  At most ``2 * workers`` units are
-finished but not yet folded, so the memory of ``mc_run_many`` does not grow
-with the sample count.
+distinct m, and multiply only the atom columns their parts read: the real
+part reads the real column, the imaginary part the imaginary one and a
+modulus part both (``_columns``).  Masks are decided one block at a time
+into one reused buffer, so besides its runs' chunk samples (capped per group
+by ``_GROUP_BYTES``) a running unit holds one draw block
+(``_BLOCK_ELEMENTS``).  Every accumulator equals the one its run gets alone.
+Units run on one thread pool per worker count, kept for the life of the
+process.  At most ``2 * workers`` units are finished but not yet folded, so
+the memory of ``mc_run_many`` does not grow with the sample count.
+
+A psi2 run keeps its squared samples, sorts them once and bisects their
+empirical law (``_empirical_law``) through the exact oracle's exp-moment
+evaluator and bisection (``oracle._exp_moment``, ``oracle._psi2_bisect``):
+each distinct square weighted count / n when at most half of them are
+distinct, as at small N, and otherwise every sample weighted 1 / n.
 
 Reductions are single-pass and must be registered up front: one table of
 power sums keyed by (part, order) and one of threshold hits keyed by
@@ -41,8 +50,9 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from statistics import NormalDist
@@ -58,7 +68,7 @@ from .model import (
     _inclusion_threshold,
     atom_table,
 )
-from .oracle import Psi2Definition, Psi2Estimate, _psi2_bisect
+from .oracle import Psi2Definition, Psi2Estimate, _exp_moment, _psi2_bisect
 
 #: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
@@ -93,10 +103,14 @@ _GROUP_BYTES = 16 << 20
 # products wake its worker threads, which split the rows off the 4-row
 # kernel boundaries and spin on the cores the point threads need.
 _GEMV_SINGLE_THREAD_ELEMENTS = 2304 * 4
-# A psi2 run holds 24 B per sample at peak: its squared samples, and while
-# it bisects the probe buffer and the temporary inside ``std``.  One
-# ``mc_psi2_many`` call holds at most 1 GiB of them: it refuses runs above
-# that, about 44.7M samples, and splits its runs into waves that fit.
+# A psi2 run is charged 24 B per sample.  It keeps its squared samples (8 B)
+# and adds 1 B of flags per sample while it finds their distinct values.
+# When at most half are distinct it compacts them, adding 24 B per distinct
+# value (12 B per sample at most) until the samples are released; otherwise
+# it bisects the samples whole, with one 8 B evaluator temporary per sample.
+# So it peaks at 20 B.  One ``mc_psi2_many`` call holds at most 1 GiB of
+# them: it refuses runs above that, about 44.7M samples, and splits its runs
+# into waves that fit.
 _PSI2_BYTES_PER_SAMPLE = 24
 _PSI2_MAX_BYTES = 1 << 30
 # Up to this many thresholds of a part are counted in one compare pass each;
@@ -255,9 +269,11 @@ def _power_sum(x: np.ndarray, k: int) -> float:
     return float(np.sum(x**k))
 
 
-def _accumulate(acc: Accumulator, re: np.ndarray, im: np.ndarray) -> None:
+def _accumulate(acc: Accumulator, re: np.ndarray | None, im: np.ndarray | None) -> None:
+    """Add the samples (re, im) of one chunk; a column no registered part
+    reads may be ``None``."""
     arrays = _part_arrays(acc.queries.parts, re, im, acc.queries.modulus_center)
-    acc.n += int(re.size)
+    acc.n += int((im if re is None else re).size)
     for part, k in acc.power_sums:
         acc.power_sums[(part, k)] += _power_sum(arrays[part], k)
     thresholds: dict = {}
@@ -413,23 +429,40 @@ class _UnitMasks:
         return flat.reshape(-1, self.N)
 
 
-def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int]) -> dict:
-    """(re, im) of one chunk for every distinct (l, m) of ``points``, which
-    share one N, keyed by (l, m), all from one draw.
+def _columns(runs) -> dict:
+    """(l, m) -> (real, imag) over the (params, parts) of ``runs``: whether
+    some run at (l, m) reads the real or the imaginary atom column.  The
+    real and imaginary parts read one column each, a modulus part both."""
+    out: dict = {}
+    for p, parts in runs:
+        both = Part.MODULUS in parts or Part.MODULUS_CENTERED in parts
+        re, im = out.get((p.l, p.m), (False, False))
+        out[(p.l, p.m)] = (re or both or Part.REAL in parts, im or both or Part.IMAG in parts)
+    return out
+
+
+def _draw_unit(N: int, columns: dict, seed: int, unit: tuple[int, int]) -> dict:
+    """(re, im) of one chunk at N for every (l, m) of ``columns``, all from
+    one draw; ``re`` is computed only where ``columns[(l, m)]`` reads the
+    real column and ``im`` only where it reads the imaginary one, and an
+    unread column is ``None``.
 
     The chunk's lanes are read block by block (``_UnitMasks``) and decided
     once per distinct m into one reused mask buffer; its matrix-vector
     products run in the small calls ``_chunk_plan`` lays out: the samples
     equal one single-threaded product over each whole chunk, whatever BLAS
-    thread count is set.
+    thread count is set, and whichever columns are read.
     """
-    N, rows = points[0].N, unit[1]
+    rows = unit[1]
     by_m: dict = {}
-    for l, m in dict.fromkeys((p.l, p.m) for p in points):
+    out: dict = {}
+    for (l, m), reads in columns.items():
         atoms = atom_table(N, l)
+        out[(l, m)] = tuple(np.empty(rows) if read else None for read in reads)
         cols = (np.ascontiguousarray(atoms.real), np.ascontiguousarray(atoms.imag))
-        by_m.setdefault(m, []).append(((l, m), cols))
-    out = {key: (np.empty(rows), np.empty(rows)) for runs in by_m.values() for key, _ in runs}
+        by_m.setdefault(m, []).extend(
+            (col, values) for col, values in zip(cols, out[(l, m)]) if values is not None
+        )
     step = _gemv_rows(N)
     block_rows = max(step + 1, _BLOCK_ELEMENTS // N // step * step)
     draw = _UnitMasks(seed, N, unit, by_m, min(block_rows, rows))
@@ -437,21 +470,20 @@ def _draw_unit(points: list[ModelParams], seed: int, unit: tuple[int, int]) -> d
         stacked = slices * step
         n = stacked + sum(tail)
         draw.next_block(n)
-        for m, runs in by_m.items():
+        for m, products in by_m.items():
             masks = draw.masks(m)
-            for key, cols in runs:
-                for col, values in zip(cols, out[key]):
-                    dst = values[start : start + n]
-                    if slices:
-                        np.matmul(
-                            masks[:stacked].reshape(slices, step, N),
-                            col,
-                            out=dst[:stacked].reshape(slices, step),
-                        )
-                    at = stacked
-                    for k in tail:
-                        np.matmul(masks[at : at + k], col, out=dst[at : at + k])
-                        at += k
+            for col, values in products:
+                dst = values[start : start + n]
+                if slices:
+                    np.matmul(
+                        masks[:stacked].reshape(slices, step, N),
+                        col,
+                        out=dst[:stacked].reshape(slices, step),
+                    )
+                at = stacked
+                for k in tail:
+                    np.matmul(masks[at : at + k], col, out=dst[at : at + k])
+                    at += k
     return out
 
 
@@ -478,24 +510,54 @@ def _group_units(groups: list[list[int]], params: list[ModelParams], cfg: McConf
             yield group, unit
 
 
+# One thread pool per worker count, started on first use and kept for the
+# life of the process; its threads mark themselves so that a map called from
+# one of them runs inline instead of waiting on a pool it may be filling.
+_POOLS: dict = {}
+_POOLS_LOCK = threading.Lock()
+_POOL_THREAD = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.active = True
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            _POOLS[workers] = ThreadPoolExecutor(
+                max_workers=workers,
+                thread_name_prefix=f"spectral-mask-{workers}",
+                initializer=_mark_pool_thread,
+            )
+        return _POOLS[workers]
+
+
 def _map_ordered(fn, items, workers: int):
     """``fn(item)`` for every item, yielded in item order whichever of up to
     ``workers`` threads ran it.  Past the first ``2 * workers`` items, one is
     submitted only as an earlier result is taken, so at most that many
-    results are pending.  A lone item runs on the calling thread."""
+    results are pending.  A lone item, and every item of a call made from a
+    pool thread, runs on the calling thread.  Closing the generator early
+    cancels the items not yet started and waits for the running ones."""
     items = iter(items)
     head = list(islice(items, 2))
-    if workers <= 1 or len(head) <= 1:
+    if workers <= 1 or len(head) <= 1 or getattr(_POOL_THREAD, "active", False):
         yield from map(fn, chain(head, items))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
+    pool = _pool(workers)
+    pending: deque = deque()
+    try:
         for item in chain(head, items):
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, item))
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def _check_workers(workers: int) -> None:
@@ -522,7 +584,8 @@ def mc_run_many(
 
     def run_unit(task) -> tuple[list[int], list[Accumulator]]:
         group, unit = task
-        values = _draw_unit([params[i] for i in group], cfg.seed, unit)
+        columns = _columns((params[i], runs[i][1].parts) for i in group)
+        values = _draw_unit(params[group[0]].N, columns, cfg.seed, unit)
         partials = []
         for i in group:
             acc = Accumulator.zero(*runs[i], cfg)
@@ -569,7 +632,7 @@ def _check_psi2_bytes(cfg: McConfig) -> None:
 
 def _psi2_waves(groups: list[list[int]], cfg: McConfig, workers: int):
     """Consecutive groups, at most ``workers`` per wave, whose runs together
-    hold at most ``_PSI2_MAX_BYTES`` when each is charged its peak of
+    hold at most ``_PSI2_MAX_BYTES`` when each is charged
     ``_PSI2_BYTES_PER_SAMPLE`` per sample.  A wave holds at least one group;
     a group of several runs keeps at most ``_GROUP_BYTES`` of squares, so it
     peaks at three times that.  Waves change no bit."""
@@ -631,31 +694,58 @@ def mc_tail(acc: Accumulator, part: Part, t: float) -> EstimateWithCI:
     return EstimateWithCI(estimate, half, n, CIMethod.HOEFFDING_INTERVAL)
 
 
+def _empirical_law(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The empirical law of the squared samples ``sq`` as (squares, weights).
+
+    ``sq`` is sorted in place.  When at most half of its values are
+    distinct they are compacted: each distinct value once, weighted
+    count / n.  Otherwise ``sq`` itself is returned with the uniform weight
+    1 / n as a broadcast view.  Besides the samples' 8 B, finding the law
+    takes 1 B of flags per sample and compacting it 24 B per distinct value,
+    at most 12 B per sample: within ``_PSI2_BYTES_PER_SAMPLE``.
+    """
+    n = sq.size
+    sq.sort()
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sq[1:], sq[:-1], out=starts[1:])
+    if 2 * np.count_nonzero(starts) > n:
+        return sq, np.broadcast_to(1.0 / n, sq.shape)
+    first = np.flatnonzero(starts)
+    del starts
+    weights = np.empty(first.size)
+    np.subtract(first[1:], first[:-1], out=weights[:-1])
+    weights[-1] = n - first[-1]
+    weights /= n
+    return sq[first], weights
+
+
 def _psi2_estimate(sq: np.ndarray, N: int, tol: float) -> Psi2Estimate:
-    """Bisect the empirical exp-moment of the squared samples ``sq``, reusing
-    one probe buffer of the same size."""
-    buf = np.empty_like(sq)
-
-    def exp_scaled(K: float) -> np.ndarray:
-        """exp(sq / K^2), written into ``buf``."""
-        with np.errstate(over="ignore"):
-            np.divide(sq, K * K, out=buf)
-            return np.exp(buf, out=buf)
-
-    def objective(K: float) -> float:
-        return float(np.mean(exp_scaled(K)))
-
-    bracket = None
-    if float(np.sqrt(sq.max(initial=0.0))) > VALUE_GROUPING_TOL:
-        bracket = _psi2_bisect(objective, N, tol)
+    """Bisect the exp-moment of the empirical law of the squared samples
+    ``sq``, which it consumes (``_empirical_law``), through the oracle's
+    evaluator (``_exp_moment``), then widen the bracket by the noise."""
+    n = sq.size
+    squares, weights = _empirical_law(sq)
+    del sq  # a compacted law no longer needs the samples
+    bracket = _psi2_bisect(squares, weights, N, tol)
     if bracket is None:
         return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
     lo, hi = bracket
     root = 0.5 * (lo + hi)
-    # Read the noise at the root before the slope probes overwrite buf.
-    se = float(exp_scaled(root).std()) / math.sqrt(sq.size)
+    # The sample standard deviation of exp(X^2 / root^2), from the weighted
+    # law: sum_i w_i (e_i - mean)^2, in one temporary.
+    mean = _exp_moment(squares, weights, root)
+    dev = squares / (root * root)
+    np.exp(dev, out=dev)
+    dev -= mean
+    np.square(dev, out=dev)
+    dev *= weights
+    se = math.sqrt(float(np.add.reduce(dev))) / math.sqrt(n)
+    del dev
     h = max(1e-6, 1e-3 * root)
-    slope = abs(objective(root + h) - objective(root - h)) / (2.0 * h)
+    slope = abs(
+        _exp_moment(squares, weights, root + h) - _exp_moment(squares, weights, root - h)
+    ) / (2.0 * h)
     widen = se / max(slope, 1e-300)
     bracket = (max(lo - widen, 0.0), hi + widen)
     return Psi2Estimate(
@@ -697,7 +787,8 @@ def mc_psi2_many(
         def fill(task) -> None:
             group, unit = task
             start, rows = unit
-            values = _draw_unit([params[i] for i in group], cfg.seed, unit)
+            columns = _columns((params[i], (runs[i][1],)) for i in group)
+            values = _draw_unit(params[group[0]].N, columns, cfg.seed, unit)
             for i in group:
                 p, part, center = runs[i]
                 x = _part_arrays((part,), *values[(p.l, p.m)], center)[part]
@@ -725,10 +816,13 @@ def mc_psi2(
     """Empirical exp-moment psi2 norm over one fixed, reusable sample set.
 
     The same draws back every K probe (common random numbers), so the
-    bisection sees a monotone objective.  The returned bracket is widened by
-    the objective's sampling noise at the root through its local slope; it is
-    a diagnostic, not a certified enclosure.  Only the squared samples are
-    kept, plus one buffer every probe reuses: 24 B per sample at peak, so
-    runs above ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
+    bisection sees a monotone objective: the exp-moment of the samples'
+    empirical law, each distinct square weighted by its share of the
+    samples, evaluated and bisected as the exact oracle does its law.  The
+    returned bracket is widened by the objective's sampling noise at the
+    root through its local slope; it is a diagnostic, not a certified
+    enclosure.  Only the squared samples are kept, and the law and the
+    evaluator's one temporary beside them: at most 24 B per sample, so runs
+    above ``_PSI2_MAX_BYTES`` raise ``CapabilityError`` before drawing.
     """
     return mc_psi2_many([(params, part, center)], cfg, tol, workers=workers)[0]

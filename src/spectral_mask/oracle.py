@@ -20,8 +20,10 @@ arguments), and the other l of the class read it.  Laws and answers live in one 
 (``LAW_CACHE_BYTES``).  A build is refused as soon as its count table would
 pass ``LAW_BUILD_BYTES``.
 
-The exp-moment psi2 norm is located by one bisection (``_psi2_bisect``),
-which the Monte Carlo estimator shares with the exact one.
+The exp-moment E[exp(X^2/K^2)] has one evaluator (``_exp_moment``), over
+squared outcomes and their probabilities, and the exp-moment psi2 norm one
+bisection (``_psi2_bisect``); the Monte Carlo estimator reads both with the
+empirical law of its samples.
 """
 
 from __future__ import annotations
@@ -595,14 +597,29 @@ def _tail_counts(values: np.ndarray, counts: np.ndarray, ts: np.ndarray) -> np.n
     return out
 
 
-def _exp_moment_from_arrays(values: np.ndarray, probs: np.ndarray, K: float) -> float:
-    scaled = (values * values) / (K * K)
-    if float(scaled.max(initial=0.0)) > 700.0:
-        logs = scaled + np.log(probs)
-        peak = float(logs.max())
-        total = peak + math.log(float(np.exp(logs - peak).sum()))
+def _exp_moment(squares: np.ndarray, weights: np.ndarray, K: float) -> float:
+    """sum_i weights[i] * exp(squares[i] / K^2): E[exp(X^2/K^2)] of the law
+    with squared outcomes ``squares`` and probabilities ``weights``.
+
+    The one exp-moment evaluator: the exact law and the Monte Carlo
+    empirical law both read it.  Once some squares[i] / K^2 exceeds 700 the
+    sum is taken in log space, shifted by that largest exponent, and it is
+    ``math.inf`` when even that overflows float64.  It holds one temporary
+    of the size of ``squares`` (``weights`` may be a broadcast view), and it
+    sums with ``np.add.reduce``, not ``np.dot``: a BLAS dot over long vectors
+    wakes OpenBLAS threads that stall the point threads calling it.
+    """
+    terms = squares / (K * K)
+    peak = float(terms.max(initial=0.0))
+    if peak > 700.0:
+        terms -= peak
+        np.exp(terms, out=terms)
+        terms *= weights
+        total = peak + math.log(float(np.add.reduce(terms)))
         return math.exp(total) if total <= 709.0 else math.inf
-    return float(np.dot(probs, np.exp(scaled)))
+    np.exp(terms, out=terms)
+    terms *= weights
+    return float(np.add.reduce(terms))
 
 
 def exact_exp_moment(
@@ -623,29 +640,34 @@ def exact_exp_moment(
     K = float(K)
     return _answer(
         params, part, max_enum_n,
-        lambda values, probs: _exp_moment_from_arrays(values, probs, K), "exp_moment", K,
+        lambda values, probs: _exp_moment(values * values, probs, K), "exp_moment", K,
     )
 
 
-def _psi2_bisect(objective, N: int, tol: float) -> tuple[float, float] | None:
+def _psi2_bisect(
+    squares: np.ndarray, weights: np.ndarray, N: int, tol: float
+) -> tuple[float, float] | None:
     """Bracket ``(lo, hi)`` with ``hi - lo <= tol`` around the root of
-    ``objective(K) = 2`` for a decreasing exp-moment ``objective`` of a
-    variable bounded by N; ``None`` when the root lies below 1e-300 (the
-    variable is zero for every practical purpose).
+    E[exp(X^2/K^2)] = 2 for the law of squared outcomes ``squares`` with
+    probabilities ``weights`` (``_exp_moment``) of a variable bounded by N;
+    ``None`` when the variable is zero for every practical purpose (no
+    |outcome| above ``VALUE_GROUPING_TOL``, or a root below 1e-300).
 
     The one psi2 bisection: the exact and the Monte Carlo exp-moment norms
     both locate their root here.
     """
+    if math.sqrt(float(squares.max(initial=0.0))) <= VALUE_GROUPING_TOL:
+        return None
     hi = N / math.sqrt(_LN2) + 1.0
     lo = 1e-6
-    while objective(lo) <= 2.0:
+    while _exp_moment(squares, weights, lo) <= 2.0:
         # Root sits below the default lower probe; expand downward.
         lo *= 0.0625
         if lo < 1e-300:
             return None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if objective(mid) > 2.0:
+        if _exp_moment(squares, weights, mid) > 2.0:
             lo = mid
         else:
             hi = mid
@@ -671,14 +693,12 @@ def exact_psi2_norm(
     tol = float(tol)
     return _answer(
         params, part, max_enum_n,
-        lambda values, probs: _psi2_norm(values, probs, params.N, tol), "psi2_norm", tol,
+        lambda values, probs: _psi2_norm(values * values, probs, params.N, tol), "psi2_norm", tol,
     )
 
 
-def _psi2_norm(values: np.ndarray, probs: np.ndarray, N: int, tol: float) -> Psi2Estimate:
-    bracket = None
-    if float(np.abs(values).max(initial=0.0)) > VALUE_GROUPING_TOL:
-        bracket = _psi2_bisect(lambda K: _exp_moment_from_arrays(values, probs, K), N, tol)
+def _psi2_norm(squares: np.ndarray, probs: np.ndarray, N: int, tol: float) -> Psi2Estimate:
+    bracket = _psi2_bisect(squares, probs, N, tol)
     if bracket is None:
         return Psi2Estimate(0.0, Psi2Definition.ORLICZ_EXP_MOMENT, (0.0, 0.0), tol)
     lo, hi = bracket

@@ -22,11 +22,13 @@ boundaries.  ``unit_chunks`` gives the engine's side of that comparison.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from spectral_mask import ModelParams
 from spectral_mask import montecarlo
-from spectral_mask.model import _inclusion_threshold, atom_table
+from spectral_mask.model import VALUE_GROUPING_TOL, _inclusion_threshold, atom_table
 
 _LANE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
 
@@ -128,4 +130,31 @@ def unit_chunks(params: ModelParams, seed: int, samples: int):
     key = (params.l, params.m)
     for start in range(0, samples, rows_per_chunk):
         unit = (start, min(rows_per_chunk, samples - start))
-        yield montecarlo._draw_unit([params], seed, unit)[key]
+        yield montecarlo._draw_unit(params.N, {key: (True, True)}, seed, unit)[key]
+
+
+def dense_psi2_norm(sq: np.ndarray, N: int, tol: float) -> float:
+    """The exp-moment psi2 norm of the samples whose squares are ``sq``,
+    bisected on the mean of exp(sq / K^2) over every sample, each probe
+    overflowing to inf: the dense form of what ``montecarlo.mc_psi2``
+    computes from the compacted empirical law.  0.0 for a zero variable."""
+    if math.sqrt(float(sq.max(initial=0.0))) <= VALUE_GROUPING_TOL:
+        return 0.0
+
+    def objective(K: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.exp(sq / (K * K))))
+
+    hi = N / math.sqrt(math.log(2.0)) + 1.0
+    lo = 1e-6
+    while objective(lo) <= 2.0:
+        lo *= 0.0625
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if objective(mid) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

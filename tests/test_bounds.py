@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from spectral_mask import (
     CrossoverKind,
     HypothesisViolationError,
-    McDiarmidCoefficients,
     ModelParams,
     PSI2_UPPER_COEFFICIENT,
     ParameterDomainError,
@@ -16,7 +15,6 @@ from spectral_mask import (
     crossover_region,
     diff_binomial_pmf,
     exp_moment_bound,
-    mcdiarmid_bound,
     moment_bound,
     psi2_sup_upper,
     psi2_upper,
@@ -47,36 +45,16 @@ class TestVarianceFormula:
             variance_formula(ModelParams(8, 4, 4))
 
 
-class TestMcDiarmid:
-    def test_unit_coefficients(self):
-        N, t = 9, 1.5
-        assert mcdiarmid_bound([1.0] * N, t) == pytest.approx(2 * math.exp(-2 * t * t / N))
-
-    def test_cosine_coefficients_reproduce_uv_bound(self):
-        # |cos(2 k l pi / N)| squares sum to N/2 when N != 2l.
-        N, l, t = 12, 5, 1.3
-        c = [abs(math.cos(2 * math.pi * k * l / N)) for k in range(1, N + 1)]
-        assert mcdiarmid_bound(c, t) == pytest.approx(tail_bound_uv(N, t), rel=1e-10)
-
-    def test_at_zero(self):
-        assert mcdiarmid_bound([0.5, 2.0], 0.0) == 2.0
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            mcdiarmid_bound([0.0, 0.0], 1.0)
-
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            McDiarmidCoefficients((-0.1, 1.0))
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            mcdiarmid_bound([1.0], -1.0)
-
-
 class TestTailBounds:
     def test_uv_example(self):
         assert tail_bound_uv(8, math.sqrt(2)) == pytest.approx(2 * math.exp(-1))
+
+    def test_cosine_coefficients_reproduce_uv_bound(self):
+        # The bounded-difference bound 2 exp(-2 t^2 / sum c_k^2) with
+        # c_k = |cos(2 k l pi / N)|, whose squares sum to N/2 when N != 2l.
+        N, l, t = 12, 5, 1.3
+        ssq = math.fsum(math.cos(2 * math.pi * k * l / N) ** 2 for k in range(1, N + 1))
+        assert 2 * math.exp(-2 * t * t / ssq) == pytest.approx(tail_bound_uv(N, t), rel=1e-10)
 
     def test_mod_example(self):
         assert tail_bound_mod(8, 2.0) == pytest.approx(2 * math.exp(-1))

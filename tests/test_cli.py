@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -160,6 +161,42 @@ class TestMainEntry:
             {"n_grid": [5], "l_grid": [1], "m_grid": [2], "mc": {"samples": 0}},
         )
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        # Repeated calls parse with one parser: none builds another, and
+        # each prints and returns what the first call did.
+        path = write_config(
+            tmp_path,
+            {"n_grid": [4, 8], "t_grid": {"spacing": "linear", "values": [0.5, 1.0]}},
+        )
+        calls = [
+            ["scan", "--formula", "tail_bound_uv", "--config", path, "--out", str(tmp_path)],
+            ["tails", "--config", path, "--out", str(tmp_path / "no"), "--samples", "-5"],
+            ["scan", "--formula", "nope", "--out", str(tmp_path)],
+        ]
+
+        def run(argv):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = ("exit", exc.code)
+            out = capsys.readouterr()
+            return rc, out.out, out.err
+
+        first = [run(argv) for argv in calls]
+        assert [rc for rc, _, _ in first] == [0, 2, ("exit", 2)]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        again = [run(argv) for _ in range(3) for argv in calls]
+        assert built == []
+        assert again == first * 3
 
 
 class TestVerifyCommand:

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +11,13 @@ import numpy as np
 import pytest
 
 import spectral_mask
-from mc_reference import chunk_part_values, stream_chunks, stream_mask_chunks, unit_chunks
+from mc_reference import (
+    chunk_part_values,
+    dense_psi2_norm,
+    stream_chunks,
+    stream_mask_chunks,
+    unit_chunks,
+)
 from spectral_mask import (
     CapabilityError,
     CIMethod,
@@ -32,16 +40,17 @@ from spectral_mask import (
     psi2_sup_upper,
 )
 from spectral_mask import montecarlo
-from spectral_mask.model import VALUE_GROUPING_TOL
+from spectral_mask.model import VALUE_GROUPING_TOL, atom_table
 from spectral_mask.montecarlo import (
     Accumulator,
     _accumulate,
     _chunk_plan,
     _draw_unit,
+    _map_ordered,
     _units,
     _z_value,
 )
-from spectral_mask.oracle import _psi2_bisect
+from spectral_mask.oracle import _exp_moment, _psi2_bisect
 
 PARAMS = ModelParams(8, 1, 4)
 
@@ -496,10 +505,37 @@ class TestDrawLayout:
                 zip(range(0, samples, rows_per_chunk), stream_chunks(params, cfg.seed, samples))
             )
             for unit in reversed(units):
-                re, im = _draw_unit([params], cfg.seed, unit)[(l, m)]
+                re, im = _draw_unit(N, {(l, m): (True, True)}, cfg.seed, unit)[(l, m)]
                 ref_re, ref_im = want[unit[0]]
                 assert re.tobytes() == ref_re.tobytes()
                 assert im.tobytes() == ref_im.tobytes()
+
+    @pytest.mark.parametrize("N,l,m", [(12, 5, 4), (1000, 3, 333)])
+    def test_reads_only_requested_columns(self, monkeypatch, N, l, m):
+        # A real-only draw returns the bits of the full draw's re and
+        # multiplies the real atom column only; an imag-only draw the
+        # reverse.
+        atoms = atom_table(N, l)
+        unit = (0, 301)
+        products = []
+        matmul = np.matmul
+
+        def spy(masks, col, **kwargs):
+            products.append(col.copy())
+            return matmul(masks, col, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        both = _draw_unit(N, {(l, m): (True, True)}, 29, unit)[(l, m)]
+        calls = len(products)
+        assert calls % 2 == 0
+        for reads, column, kept in (((True, False), atoms.real, 0), ((False, True), atoms.imag, 1)):
+            products.clear()
+            got = _draw_unit(N, {(l, m): reads}, 29, unit)[(l, m)]
+            assert got[1 - kept] is None
+            assert got[kept].tobytes() == both[kept].tobytes()
+            assert len(products) == calls // 2
+            assert all(np.array_equal(col, column) for col in products)
+            assert not np.array_equal(atoms.real, atoms.imag)
 
     def test_working_set_is_one_block(self):
         params = ModelParams(1024, 1, 8)
@@ -628,35 +664,47 @@ class TestMcPsi2:
             mc_psi2(PARAMS, Part.MODULUS_CENTERED, McConfig(samples=1_000, seed=0))
 
     @pytest.mark.parametrize("part", [Part.REAL, Part.MODULUS_CENTERED])
-    def test_matches_concatenated_samples(self, part):
+    def test_matches_concatenated_samples(self, monkeypatch, part):
         # Three chunks: the norm and the bracket equal those of all samples
-        # concatenated in stream order.
-        params = ModelParams(1024, 5, 32)
+        # concatenated in stream order, taken as their empirical law.  At
+        # N = 1024 every sample is distinct and the law keeps them all; at
+        # N = 12 (4096-row chunks) a few hundred distinct squares carry
+        # weights count / n.
         cfg = McConfig(samples=12_000, seed=23)
         center = 5.5
-        assert len(list(_units(cfg, params.N))) == 3
-        chunks = []
-        for re, im in unit_chunks(params, cfg.seed, cfg.samples):
-            chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
-        values = np.concatenate(chunks)
-        sq = values * values
-
-        def objective(K):
-            with np.errstate(over="ignore"):
-                return float(np.mean(np.exp(sq / (K * K))))
-
         tol = 1e-6
-        lo, hi = _psi2_bisect(objective, params.N, tol)
-        root = 0.5 * (lo + hi)
-        with np.errstate(over="ignore"):
-            at_root = np.exp(sq / (root * root))
-        se = float(at_root.std()) / math.sqrt(at_root.size)
-        h = max(1e-6, 1e-3 * root)
-        widen = se / max(abs(objective(root + h) - objective(root - h)) / (2.0 * h), 1e-300)
-        expected = (root, (max(lo - widen, 0.0), hi + widen))
-        for workers in (1, 3):
-            est = mc_psi2(params, part, cfg, tol, center=center, workers=workers)
-            assert (est.norm, est.bracket) == expected
+        for params, chunk_elements, compacted in (
+            (ModelParams(1024, 5, 32), 1 << 22, False),
+            (ModelParams(12, 5, 4), 12 * 4096, True),
+        ):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
+            assert len(list(_units(cfg, params.N))) == 3
+            chunks = []
+            for re, im in unit_chunks(params, cfg.seed, cfg.samples):
+                chunks.append(re if part is Part.REAL else np.hypot(re, im) - center)
+            values = np.concatenate(chunks)
+            sq = np.sort(values * values)
+            distinct, counts = np.unique(sq, return_counts=True)
+            assert (2 * distinct.size <= sq.size) is compacted
+            if compacted:
+                squares, weights = distinct, counts / sq.size
+            else:
+                squares, weights = sq, np.full(sq.size, 1.0 / sq.size)
+
+            def objective(K):
+                return _exp_moment(squares, weights, K)
+
+            lo, hi = _psi2_bisect(squares, weights, params.N, tol)
+            root = 0.5 * (lo + hi)
+            at_root = np.exp(squares / (root * root))
+            var = np.add.reduce(weights * np.square(at_root - objective(root)))
+            se = math.sqrt(float(var)) / math.sqrt(sq.size)
+            h = max(1e-6, 1e-3 * root)
+            widen = se / max(abs(objective(root + h) - objective(root - h)) / (2.0 * h), 1e-300)
+            expected = (root, (max(lo - widen, 0.0), hi + widen))
+            for workers in (1, 3):
+                est = mc_psi2(params, part, cfg, tol, center=center, workers=workers)
+                assert (est.norm, est.bracket) == expected
 
     def test_sample_bytes_guard(self):
         limit = montecarlo._PSI2_MAX_BYTES // montecarlo._PSI2_BYTES_PER_SAMPLE
@@ -692,6 +740,65 @@ class TestMcPsi2:
         finally:
             tracemalloc.stop()
         assert peak / cfg.samples < 28
+
+
+    def test_all_distinct_samples_stay_within_the_byte_budget(self, monkeypatch):
+        # At N = 1024 every squared sample is distinct, so the empirical law
+        # keeps the samples whole under one broadcast weight.
+        cfg = McConfig(samples=1_000_000, seed=5)
+        params = ModelParams(1024, 1, 128)
+        mc_psi2(params, Part.REAL, McConfig(samples=16, seed=0))  # warm the caches
+        laws = []
+        empirical_law = montecarlo._empirical_law
+
+        def spy(sq):
+            n = sq.size
+            squares, weights = empirical_law(sq)
+            laws.append((n, squares.size, weights.strides))
+            return squares, weights
+
+        monkeypatch.setattr(montecarlo, "_empirical_law", spy)
+        tracemalloc.start()
+        try:
+            mc_psi2(params, Part.REAL, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert laws == [(cfg.samples, cfg.samples, (0,))]
+        assert peak <= montecarlo._PSI2_BYTES_PER_SAMPLE * cfg.samples
+
+    def test_empirical_law_compacts_repeats(self):
+        sq = np.array([4.0, 1.0, 4.0, 0.0, 4.0, 1.0])
+        squares, weights = montecarlo._empirical_law(sq)
+        assert squares.tolist() == [0.0, 1.0, 4.0]
+        assert weights.tolist() == [1 / 6, 2 / 6, 3 / 6]
+        sq = np.array([3.0, 1.0, 2.0, 2.0])
+        squares, weights = montecarlo._empirical_law(sq)
+        assert squares is sq and squares.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert weights.tolist() == [0.25] * 4
+
+    def test_compacted_norm_matches_dense(self):
+        # Every (N, l, m) with N <= 12, part real: the norm bisected on the
+        # compacted empirical law lies within tol of the dense bisection
+        # over every sample.
+        cfg = McConfig(samples=20_000, seed=1)
+        tol = 1e-6
+        points = [
+            ModelParams(N, l, m) for N in range(1, 13) for l in range(N) for m in range(1, N + 1)
+        ]
+        got = mc_psi2_many([(p, Part.REAL, None) for p in points], cfg, tol)
+        identical = 0
+        for N in range(1, 13):
+            assert list(_units(cfg, N)) == [(0, cfg.samples)]
+            at_n = [(p, est) for p, est in zip(points, got) if p.N == N]
+            columns = {(p.l, p.m): (True, False) for p, _ in at_n}
+            draws = _draw_unit(N, columns, cfg.seed, (0, cfg.samples))
+            for p, est in at_n:
+                re = draws[(p.l, p.m)][0]
+                want = dense_psi2_norm(re * re, N, tol)
+                assert abs(est.norm - want) <= tol, p
+                identical += est.norm == want
+        print(f"{identical} of {len(points)} norms bit-identical to the dense reference")
 
 
 class TestGroupedRuns:
@@ -760,14 +867,16 @@ class TestGroupedRuns:
         draws = []
         real_draw = montecarlo._draw_unit
 
-        def spy(points, seed, unit):
-            draws.append((points[0].N, len(points)))
-            return real_draw(points, seed, unit)
+        def spy(N, columns, seed, unit):
+            draws.append((N, len(columns)))
+            assert set(columns.values()) == {(True, False)}
+            return real_draw(N, columns, seed, unit)
 
         monkeypatch.setattr(montecarlo, "_draw_unit", spy)
         runs = [(p, McQueries(parts=(Part.REAL,))) for p in self.POINTS]
         mc_run_many(runs, self.CFG)
-        assert sorted(draws) == [(12, 2)] + [(1000, 5)] * 9
+        # One draw per chunk and N, for the distinct (l, m) of its runs.
+        assert sorted(draws) == [(12, 2)] + [(1000, 4)] * 9
 
     def test_empty_and_invalid(self):
         assert mc_run_many([], self.CFG) == []
@@ -807,3 +916,79 @@ class TestCalibration:
                     total += len(checks)
         assert total >= 500
         assert inside / total >= 0.99
+
+
+class TestWorkerPool:
+    """``_map_ordered`` runs on one pool per worker count."""
+
+    def test_threads_stay_bounded(self):
+        # Many maps, one after another and from concurrent callers: the
+        # pool threads that run items, and the threads alive at once, stay
+        # bounded by the worker count.
+        runners = set()  # the thread objects, kept so no identity is reused
+        peak = [0]
+        lock = threading.Lock()
+
+        def square(x):
+            with lock:
+                runners.add(threading.current_thread())
+                peak[0] = max(peak[0], threading.active_count())
+            return x * x
+
+        want = [x * x for x in range(10)]
+        base = threading.active_count()
+        for _ in range(50):
+            assert list(_map_ordered(square, range(10), 3)) == want
+        failures = []
+
+        def caller():
+            for _ in range(20):
+                if list(_map_ordered(square, range(10), 3)) != want:
+                    failures.append(threading.current_thread())
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in callers)
+        assert failures == []
+        assert threading.current_thread() not in runners
+        assert len(runners) <= 3
+        assert peak[0] <= base + len(callers) + 3
+        assert threading.active_count() <= base + 3
+
+    def test_nested_map_runs_inline(self):
+        # A map called from a pool thread runs on that thread, so it never
+        # waits on a pool its caller keeps busy.
+        def outer(x):
+            return sum(_map_ordered(lambda y: x * y, range(5), 2))
+
+        out = []
+        thread = threading.Thread(target=lambda: out.extend(_map_ordered(outer, range(8), 2)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert out == [10 * x for x in range(8)]
+
+    def test_closed_early_cancels_pending(self):
+        # Items 1 and 2 block until released; closing the map after its
+        # first result cancels item 3, still queued, and waits for the
+        # running ones.
+        started = []
+        release = threading.Event()
+
+        def fn(x):
+            started.append(x)
+            if x:
+                release.wait(10)
+            return x
+
+        results = _map_ordered(fn, range(100), 2)
+        assert next(results) == 0
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        results.close()
+        timer.join(timeout=10)
+        time.sleep(0.05)
+        assert set(started) <= {0, 1, 2}

@@ -15,9 +15,11 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # gave way to chunk units shared by every run with the same N, and batches,
 # their substreams and their merge tree to one stream per seed, read as
 # 16-bit lanes by ``_UnitMasks``.  Exact laws group on integer keys in
-# Z[zeta_d], so the float clustering and its grouping margin are gone.
+# Z[zeta_d], so the float clustering and its grouping margin are gone.  The
+# generic bounded-difference bound had no caller; its one use, the
+# real/imaginary tail bound, is ``tail_bound_uv``.
 REMOVED = {
-    bounds: ("BoundQuery", "effective_tail_bound"),
+    bounds: ("BoundQuery", "effective_tail_bound", "mcdiarmid_bound", "McDiarmidCoefficients"),
     model: (
         "SupportMask", "sample_mask", "special_form", "FormKind", "SpecialForm",
         "dft_atom", "evaluate", "trig_sums", "_kahan_sum",
