@@ -516,6 +516,7 @@ class TestDrawLayout:
         # multiplies the real atom column only; an imag-only draw the
         # reverse.
         atoms = atom_table(N, l)
+        assert not np.array_equal(atoms.real, atoms.imag)
         unit = (0, 301)
         products = []
         matmul = np.matmul
@@ -535,7 +536,6 @@ class TestDrawLayout:
             assert got[kept].tobytes() == both[kept].tobytes()
             assert len(products) == calls // 2
             assert all(np.array_equal(col, column) for col in products)
-            assert not np.array_equal(atoms.real, atoms.imag)
 
     def test_working_set_is_one_block(self):
         params = ModelParams(1024, 1, 8)
