@@ -13,6 +13,7 @@ output files; workers only change wall time.
 from __future__ import annotations
 
 import argparse
+import enum
 import functools
 import importlib.resources
 import json
@@ -318,6 +319,93 @@ def _tail_columns(params: ModelParams, part: Part, grid: GridSpec) -> _TailColum
 TAIL_COLUMNS_BYTES = 8 << 20
 _TAIL_COLUMNS = oracle._ByteCache(TAIL_COLUMNS_BYTES)
 
+#: Byte bound on the Monte Carlo results kept across points and commands:
+#: the centering pass's and the tails pass's accumulators and the psi2
+#: estimates, each keyed on its class point, its queries (or part, center and
+#: tol) and its ``McConfig``.  The library's Monte Carlo calls keep nothing.
+MC_RESULTS_BYTES = 16 << 20
+_MC_RESULTS = oracle._ByteCache(MC_RESULTS_BYTES)
+
+
+@dataclass(frozen=True, eq=False)
+class _Kept:
+    """One Monte Carlo result and the bytes it and its key hold."""
+
+    value: object
+    nbytes: int
+
+
+def _held_bytes(*objs) -> int:
+    """Bytes of ``objs`` and of every object they reach through tuples,
+    dicts and instance attributes, each object counted once; enum members,
+    ``None`` and booleans are shared singletons and not charged."""
+    seen: set = set()
+    total = 0
+    stack = list(objs)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        # Exact type tests first: floats, ints and the tuples and dicts that
+        # hold them are nearly every object a result reaches.
+        kind = type(obj)
+        if kind is float or kind is int:
+            total += sys.getsizeof(obj)
+        elif kind is tuple or kind is list:
+            total += sys.getsizeof(obj)
+            stack += obj
+        elif kind is dict:
+            total += sys.getsizeof(obj)
+            stack += obj.keys()
+            stack += obj.values()
+        elif not (obj is None or kind is bool or isinstance(obj, enum.Enum)):
+            total += sys.getsizeof(obj)
+            if hasattr(obj, "__dict__"):
+                stack.append(vars(obj))
+    return total
+
+
+def _kept(keys: list, compute) -> list:
+    """The Monte Carlo result at each of ``keys`` from ``_MC_RESULTS``; the
+    missing ones come from one call ``compute(missing)``, so they share its
+    draws, and are kept with their bytes."""
+
+    def build(missing: list) -> list[_Kept]:
+        values = compute(missing)
+        return [_Kept(value, _held_bytes(key, value)) for key, value in zip(missing, values)]
+
+    return [kept.value for kept in _MC_RESULTS.get_many(keys, build)]
+
+
+def _mc_runs(
+    runs: list[tuple[ModelParams, McQueries]], mc_cfg: McConfig, workers: int
+) -> list[Accumulator]:
+    """``mc_run_many`` of ``runs``, each (class point, queries, config) run
+    once across commands; the accumulator of a class point is the one every
+    l of its class gets."""
+    keys = [("run", p.class_point, q, mc_cfg) for p, q in runs]
+    return _kept(
+        keys, lambda missing: mc_run_many([k[1:3] for k in missing], mc_cfg, workers=workers)
+    )
+
+
+def _mc_psi2(
+    runs: list[tuple[ModelParams, Part, float | None]],
+    mc_cfg: McConfig,
+    workers: int,
+    tol: float = 1e-6,
+) -> list[float]:
+    """The ``mc_psi2_many`` norm of each of ``runs``, each (class point,
+    part, center, tol, config) estimated once across commands."""
+    keys = [("psi2", p.class_point, part, center, tol, mc_cfg) for p, part, center in runs]
+
+    def compute(missing: list) -> list[float]:
+        ests = mc_psi2_many([k[1:4] for k in missing], mc_cfg, tol, workers=workers)
+        return [est.norm for est in ests]
+
+    return _kept(keys, compute)
+
 
 def _modulus_centers(
     points: list[ModelParams], cfg: RunConfig, workers: int
@@ -343,7 +431,7 @@ def _modulus_centers(
             confidence=cfg.mc_confidence,
         )
         queries = McQueries(parts=(Part.MODULUS,), moment_orders=(1,))
-        accs = mc_run_many([(points[i], queries) for i in far], pre, workers=workers)
+        accs = _mc_runs([(points[i], queries) for i in far], pre, workers)
         for i, acc in zip(far, accs):
             centers[i] = mc_moment(acc, Part.MODULUS, 1).estimate
     return centers
@@ -404,7 +492,7 @@ def cmd_tails(cfg: RunConfig) -> int:
             )
             for params, center in zip(points, centers)
         ]
-        accs = mc_run_many(runs, mc_cfg, workers=workers)
+        accs = _mc_runs(runs, mc_cfg, workers)
     results = list(
         _map_ordered(lambda i: _tails_point(points[i], cfg, accs[i]), range(len(points)), workers)
     )
@@ -493,7 +581,7 @@ def cmd_psi2(cfg: RunConfig) -> int:
             for params, center in zip(points, centers)
             for part in cfg.parts
         ]
-        norms = iter(est.norm for est in mc_psi2_many(runs, mc_cfg, 1e-6, workers=workers))
+        norms = iter(_mc_psi2(runs, mc_cfg, workers))
         mc_norms = [[next(norms) for _ in cfg.parts] for _ in points]
     results = _map_ordered(
         lambda i: _psi2_point(points[i], cfg, mc_norms[i]), range(len(points)), workers

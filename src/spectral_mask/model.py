@@ -10,6 +10,7 @@ package enumerates, samples and bounds.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,6 +77,13 @@ class ModelParams:
         """True when N == 2l; atoms collapse to +/-1 and several closed forms
         are not claimed there."""
         return self.N == 2 * self.l
+
+    @property
+    def class_point(self) -> "ModelParams":
+        """(N, gcd(l, N) mod N, m): the point of l's frequency class, whose
+        atom multiset equals l's bit for bit, so the two share one law; the
+        exact oracle keys its laws on the same l."""
+        return ModelParams(self.N, math.gcd(self.l, self.N) % self.N, self.m)
 
 
 @lru_cache(maxsize=256)

@@ -30,6 +30,17 @@ Units run on one thread pool per worker count, kept for the life of the
 process.  At most ``2 * workers`` units are finished but not yet folded, so
 the memory of ``mc_run_many`` does not grow with the sample count.
 
+Monte Carlo works once per frequency class.  The atom multiset at (N, l)
+equals the one at gcd(l, N) mod N bit for bit (``ModelParams.class_point``,
+the point the exact oracle keys its laws on), so the two share one law.  A
+run at (N, l, m) therefore draws with the atoms of its class point
+(N, gcd(l, N) mod N, m): within one call of ``mc_run_many`` each distinct
+(class point, queries), and of ``mc_psi2_many`` each distinct (class point,
+part, center), is computed once and its result returned to every run that
+shares it.  The samples of an l that is not its class point are those of
+the class point (tag ``MC_ALGORITHM``); their law is unchanged.  Nothing is
+kept across calls.
+
 A psi2 run keeps its squared samples, sorts them once and bisects their
 empirical law (``_empirical_law``) through the exact oracle's exp-moment
 evaluator and bisection (``oracle._exp_moment``, ``oracle._psi2_bisect``):
@@ -75,8 +86,9 @@ RNG_ALGORITHM = "philox4x64-10"
 #: How draws become samples: each mask bit is decided from a 16-bit lane of
 #: one main stream per seed, reading a tie stream's 48 bits only on a tie
 #: (``_UnitMasks``), in chunks of ``_rows_per_chunk(N)`` rows whose results
-#: fold left to right.  Recorded in ``summary.json``.
-MC_ALGORITHM = "prefix16-tie48-chunk-fold-v1"
+#: fold left to right; every l draws with the atoms of its class point, and
+#: power sums never go through BLAS.  Recorded in ``summary.json``.
+MC_ALGORITHM = "prefix16-tie48-chunk-fold-class-v1"
 
 _MASK64 = (1 << 64) - 1
 _LOW_MASK = (1 << 48) - 1
@@ -262,11 +274,9 @@ def _part_arrays(
 
 
 def _power_sum(x: np.ndarray, k: int) -> float:
-    if k == 1:
-        return float(x.sum())
-    if k == 2:
-        return float(np.dot(x, x))
-    return float(np.sum(x**k))
+    # numpy's pairwise sum, never BLAS: OpenBLAS threads the dot of a long
+    # vector, whose bits then depend on the BLAS thread count.
+    return float(np.sum(x if k == 1 else x**k))
 
 
 def _accumulate(acc: Accumulator, re: np.ndarray | None, im: np.ndarray | None) -> None:
@@ -488,13 +498,14 @@ def _draw_unit(N: int, columns: dict, seed: int, unit: tuple[int, int]) -> dict:
 
 
 def _groups(params: list[ModelParams], cfg: McConfig, sample_bytes: int) -> list[list[int]]:
-    """Indexes into ``params`` grouped by N, each N split into consecutive
-    groups that hold at most ``_GROUP_BYTES``: 16 B per row of the largest
-    unit for each run, plus ``sample_bytes`` per sample.  Grouping changes
-    no bit."""
+    """Indexes into ``params`` grouped by N and ordered by m, each N split
+    into consecutive groups that hold at most ``_GROUP_BYTES``: 16 B per row
+    of the largest unit for each run, plus ``sample_bytes`` per sample.
+    Runs of one m in one group share its threshold compare.  Grouping
+    changes no bit."""
     by_n: dict = {}
-    for i, p in enumerate(params):
-        by_n.setdefault(p.N, []).append(i)
+    for i in sorted(range(len(params)), key=lambda i: params[i].m):
+        by_n.setdefault(params[i].N, []).append(i)
     groups = []
     for N, idx in by_n.items():
         rows = min(_rows_per_chunk(N), cfg.samples)
@@ -565,6 +576,14 @@ def _check_workers(workers: int) -> None:
         raise ParameterDomainError(f"workers must be a positive integer, got {workers!r}")
 
 
+def _distinct(keys: list) -> tuple[list, list[int]]:
+    """The distinct entries of ``keys`` in first-seen order, and for each
+    key the index of its entry."""
+    index: dict = {}
+    where = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), where
+
+
 def mc_run_many(
     runs: list[tuple[ModelParams, McQueries]],
     cfg: McConfig,
@@ -574,33 +593,41 @@ def mc_run_many(
     """``mc_run`` for every (params, queries) of ``runs``, one accumulator
     each, in order.
 
-    Runs with the same N read the same stream, so each chunk is drawn once
-    for a group of them; the chunks of every group run on up to ``workers``
-    threads.  Each accumulator is bit-identical to the one ``mc_run`` returns
-    for its run alone.
+    Each distinct (class point, queries) is run once, with the atoms of its
+    class point, and every run that shares it gets a copy of its reductions
+    under its own params.  Runs with the same N read the same stream, so
+    each chunk is drawn once for a group of them; the chunks of every group
+    run on up to ``workers`` threads.  Each accumulator is bit-identical to
+    the one ``mc_run`` returns for its run alone.
     """
     _check_workers(workers)
-    params = [p for p, _ in runs]
+    unique, where = _distinct([(p.class_point, q) for p, q in runs])
+    params = [p for p, _ in unique]
 
     def run_unit(task) -> tuple[list[int], list[Accumulator]]:
         group, unit = task
-        columns = _columns((params[i], runs[i][1].parts) for i in group)
+        columns = _columns((params[i], unique[i][1].parts) for i in group)
         values = _draw_unit(params[group[0]].N, columns, cfg.seed, unit)
         partials = []
         for i in group:
-            acc = Accumulator.zero(*runs[i], cfg)
+            acc = Accumulator.zero(*unique[i], cfg)
             _accumulate(acc, *values[(params[i].l, params[i].m)])
             partials.append(acc)
         return group, partials
 
     # Each run's chunk partials fold left to right in stream order; the
     # first one is the run's accumulator as it stands.
-    accs: list = [None] * len(runs)
+    accs: list = [None] * len(unique)
     tasks = _group_units(_groups(params, cfg, 0), params, cfg)
     for group, partials in _map_ordered(run_unit, tasks, workers):
         for i, partial in zip(group, partials):
             accs[i] = partial if accs[i] is None else merge(accs[i], partial)
-    return accs
+    return [
+        Accumulator(
+            p, q, cfg, accs[i].n, dict(accs[i].power_sums), dict(accs[i].threshold_hits)
+        )
+        for (p, q), i in zip(runs, where)
+    ]
 
 
 def mc_run(
@@ -613,6 +640,8 @@ def mc_run(
     """Single streaming pass over cfg.samples masks filling every registered
     reduction.
 
+    The samples are those of ``params.class_point``: every l of a frequency
+    class gets the reductions of its class point, under its own params.
     Bit-identical for a given (params, queries, cfg) regardless of
     ``workers``: the samples always come from the streams keyed
     seed XOR splitmix64(0) and (on ties) seed XOR splitmix64(1), and the
@@ -682,6 +711,12 @@ def mc_tail(acc: Accumulator, part: Part, t: float) -> EstimateWithCI:
     Thresholds absorb the shared value tolerance exactly like the oracle, so
     boundary atoms are counted identically on both sides.  The half-width is
     sqrt(ln(2/(1-confidence)) / (2n)) (Hoeffding), valid at any tail depth.
+    It equals the Dvoretzky-Kiefer-Wolfowitz width with Massart's constant at
+    the same confidence, which bounds the gap between the empirical and the
+    true law of |X| at every t at once: so the intervals of all thresholds of
+    one run hold together, at that confidence, not merely one at a time.
+    Every l of a frequency class reads the samples of its class point, so
+    the intervals of one class are one event, not independent ones.
     """
     key = (part, float(t))
     if key not in acc.threshold_hits:
@@ -762,12 +797,14 @@ def mc_psi2_many(
 ) -> list[Psi2Estimate]:
     """``mc_psi2`` for every (params, part, center) of ``runs``, in order.
 
-    Runs with the same N read the same stream, so each chunk is drawn once
-    for a group of them and fills the squared samples of each.  Groups go in
-    waves (``_psi2_waves``) that hold at most ``_PSI2_MAX_BYTES`` together:
-    the chunks of a wave run on up to ``workers`` threads, then its runs
-    bisect, one per thread.  Each estimate equals the one ``mc_psi2`` returns
-    for its run alone.
+    Each distinct (class point, part, center) is estimated once, with the
+    atoms of its class point, and its estimate returned to every run that
+    shares it.  Runs with the same N read the same stream, so each chunk is
+    drawn once for a group of them and fills the squared samples of each.
+    Groups go in waves (``_psi2_waves``) that hold at most
+    ``_PSI2_MAX_BYTES`` together: the chunks of a wave run on up to
+    ``workers`` threads, then its runs bisect, one per thread.  Each
+    estimate equals the one ``mc_psi2`` returns for its run alone.
     """
     for params, part, center in runs:
         if part not in REAL_VALUED_PARTS:
@@ -778,19 +815,20 @@ def mc_psi2_many(
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
     _check_workers(workers)
     _check_psi2_bytes(cfg)
-    params = [p for p, _, _ in runs]
+    unique, where = _distinct([(p.class_point, part, center) for p, part, center in runs])
+    params = [p for p, _, _ in unique]
     groups = _groups(params, cfg, 8)
-    out: list = [None] * len(runs)
+    out: list = [None] * len(unique)
     for wave in _psi2_waves(groups, cfg, workers):
         sq = {i: np.empty(cfg.samples) for group in wave for i in group}
 
         def fill(task) -> None:
             group, unit = task
             start, rows = unit
-            columns = _columns((params[i], (runs[i][1],)) for i in group)
+            columns = _columns((params[i], (unique[i][1],)) for i in group)
             values = _draw_unit(params[group[0]].N, columns, cfg.seed, unit)
             for i in group:
-                p, part, center = runs[i]
+                p, part, center = unique[i]
                 x = _part_arrays((part,), *values[(p.l, p.m)], center)[part]
                 np.multiply(x, x, out=sq[i][start : start + rows])
 
@@ -801,7 +839,7 @@ def mc_psi2_many(
         ests = _map_ordered(lambda i: _psi2_estimate(sq.pop(i), params[i].N, tol), idx, workers)
         for i, est in zip(idx, ests):
             out[i] = est
-    return out
+    return [out[i] for i in where]
 
 
 def mc_psi2(
@@ -813,7 +851,8 @@ def mc_psi2(
     center: float | None = None,
     workers: int = 1,
 ) -> Psi2Estimate:
-    """Empirical exp-moment psi2 norm over one fixed, reusable sample set.
+    """Empirical exp-moment psi2 norm over one fixed, reusable sample set:
+    that of ``params.class_point``, shared by every l of its class.
 
     The same draws back every K probe (common random numbers), so the
     bisection sees a monotone objective: the exp-moment of the samples'

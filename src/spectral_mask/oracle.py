@@ -366,6 +366,30 @@ class _ByteCache:
         """The value at ``key``, built by ``build(*key)`` if missing."""
         return self._entry(key, build).value
 
+    def get_many(self, keys: list, build_many) -> list:
+        """The value at each of ``keys``.  The missing ones, each once, come
+        from one call ``build_many(missing)`` that returns their values in
+        order, so a caller can share work among them; unlike ``get``, a
+        concurrent request for the same key builds it again."""
+        found: dict = {}
+        with self._lock:
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    found[key] = entry.value
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
+        if missing:
+            found.update(zip(missing, build_many(missing)))
+            with self._lock:
+                for key in missing:
+                    entry = _Entry(found[key], found[key].nbytes)
+                    if key not in self._entries and entry.nbytes <= self.max_bytes:
+                        self._entries[key] = entry
+                        self.nbytes += entry.nbytes
+                self._evict()
+        return [found[key] for key in keys]
+
     def answer(self, key: tuple, build, query: tuple, compute):
         """``compute(value)`` for the value at ``key``, kept with that value
         under ``query`` while the value stays cached."""

@@ -11,7 +11,9 @@ chunk take, in element order, the top 48 bits of the tie-stream words from
 the chunk's first element on.  This module rebuilds u from those words and
 compares it whole; it shares no code with the engine's draw.
 
-Chunks hold ``montecarlo._rows_per_chunk(N)`` rows.  Each chunk's masks are
+A run at (N, l, m) draws with the atoms of its class point
+(N, gcd(l, N) mod N, m), whose atom multiset equals l's; this module maps l
+to it with its own gcd.  Chunks hold ``montecarlo._rows_per_chunk(N)`` rows.  Each chunk's masks are
 drawn as one (rows, N) matrix and multiplied by the atom columns in one
 product per column, the plain form of what ``montecarlo._draw_unit``
 computes block by block on streams positioned at the chunk.  The two agree
@@ -92,8 +94,13 @@ def draw_masks(params: ModelParams, seed: int, rows: int) -> np.ndarray:
     return chunk_masks(params, Lanes(seed), Words(seed, 1), 0, rows)[0]
 
 
+def class_l(params: ModelParams) -> int:
+    """The l of the class point of ``params``: gcd(l, N) mod N."""
+    return math.gcd(params.l, params.N) % params.N
+
+
 def _products(params: ModelParams, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    atoms = atom_table(params.N, params.l)
+    atoms = atom_table(params.N, class_l(params))
     return masks @ np.ascontiguousarray(atoms.real), masks @ np.ascontiguousarray(atoms.imag)
 
 
@@ -127,7 +134,7 @@ def unit_chunks(params: ModelParams, seed: int, samples: int):
     """The same chunks drawn by the engine, each unit on its own positioned
     streams, as ``montecarlo._draw_unit`` yields them."""
     rows_per_chunk = montecarlo._rows_per_chunk(params.N)
-    key = (params.l, params.m)
+    key = (class_l(params), params.m)
     for start in range(0, samples, rows_per_chunk):
         unit = (start, min(rows_per_chunk, samples - start))
         yield montecarlo._draw_unit(params.N, {key: (True, True)}, seed, unit)[key]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import sys
 import time
 
 import jsonschema
@@ -30,6 +31,12 @@ def write_config(tmp_path, data):
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def fresh_mc_results(monkeypatch):
+    """Empty the CLI's Monte Carlo results cache, so the next command
+    computes every Monte Carlo result instead of reading a kept one."""
+    monkeypatch.setattr(cli, "_MC_RESULTS", oracle._ByteCache(cli.MC_RESULTS_BYTES))
 
 
 def shipped_schema(name):
@@ -216,10 +223,29 @@ class TestVerifyCommand:
         jsonschema.validate(summary, shipped_schema("summary.schema.json"))
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
-        assert summary["environment"]["mc_algorithm"] == "prefix16-tie48-chunk-fold-v1"
+        assert summary["environment"]["mc_algorithm"] == "prefix16-tie48-chunk-fold-class-v1"
         assert summary["environment"]["law_algorithm"] == "cyclotomic-keys-count-tails-v1"
         assert summary["environment"]["package_version"] == spectral_mask.__version__
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}
+
+    def test_montecarlo_suite_draws_every_run(self, tmp_path, monkeypatch):
+        # Its repeat-run and worker-count checks compare fresh draws: three
+        # runs of one chunk each, in every verify of one process.
+        draws = []
+        real_draw = montecarlo._draw_unit
+
+        def spy(N, columns, seed, unit):
+            draws.append((N, unit))
+            return real_draw(N, columns, seed, unit)
+
+        monkeypatch.setattr(montecarlo, "_draw_unit", spy)
+        path = write_config(
+            tmp_path,
+            {"suites": ["montecarlo"], "mc": {"samples": 4_000, "seed": 3}},
+        )
+        for runs in (1, 2):
+            assert cli.main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+            assert draws == [(12, (0, 4_000))] * 3 * runs
 
     def test_verify_deterministic_output(self, tmp_path):
         path = write_config(
@@ -356,7 +382,7 @@ class TestTailsCommand:
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 2
         assert "count budget" in capsys.readouterr().err
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         path = write_config(
             tmp_path,
             {
@@ -367,9 +393,11 @@ class TestTailsCommand:
                 "mc": {"samples": 5_000, "seed": 11},
             },
         )
+        fresh_mc_results(monkeypatch)
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
         files = sorted(tmp_path.glob("tails_*.csv"))
         first = {f.name: f.read_bytes() for f in files}
+        fresh_mc_results(monkeypatch)
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
         assert {f.name: f.read_bytes() for f in sorted(tmp_path.glob('tails_*.csv'))} == first
 
@@ -398,6 +426,7 @@ class TestWorkerInvariance:
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 6 * 1_000)
         outputs = {}
         for workers in (1, 3):
+            fresh_mc_results(monkeypatch)
             path = write_config(
                 tmp_path,
                 {
@@ -420,11 +449,12 @@ class TestWorkerInvariance:
         assert all(r[1] == "" and r[2] != "" for r in rows)
 
 
-    def test_shared_draws_bytes_independent_of_workers(self, tmp_path):
+    def test_shared_draws_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         # Above the guard at N = 256: three chunks, shared by six points in
         # the centering, tails and psi2 passes.
         outputs = {}
         for workers in (1, 3):
+            fresh_mc_results(monkeypatch)
             path = write_config(
                 tmp_path,
                 {
@@ -506,6 +536,89 @@ class TestClassCaches:
         assert summaries[0] == summaries[1] == summaries[2]
 
 
+class TestMcResults:
+    """Monte Carlo results kept across commands, one per class point, write
+    the bytes that cold runs write."""
+
+    # N = 8 below the guard of 8 and N = 30 above it, where modulus_centered
+    # adds the centering pass; l = 1, 3, 5, 7 share a class at N = 8, and
+    # l = 1, 7 / 2, 4 / 3, 6 at N = 30; l = 0 and N = 2l among them.
+    CONFIG = {
+        "n_grid": [8, 30],
+        "l_grid": [0, 1, 2, 3, 4, 5, 6, 7],
+        "m_grid": [2, 5],
+        "parts": ["real", "imag", "modulus_centered"],
+        "mc": {"samples": 3_000, "seed": 9},
+    }
+
+    def run(self, tmp_path, command, out, l_grid=None):
+        data = dict(self.CONFIG, l_grid=l_grid or self.CONFIG["l_grid"])
+        path = write_config(tmp_path, data)
+        argv = [command, "--config", path, "--out", str(out), "--max-enum-n", "8"]
+        assert cli.main(argv) == 0
+
+    def test_warm_runs_write_cold_bytes(self, tmp_path, monkeypatch):
+        draws = []
+        real_draw = montecarlo._draw_unit
+
+        def spy(N, columns, seed, unit):
+            draws.append(N)
+            return real_draw(N, columns, seed, unit)
+
+        monkeypatch.setattr(montecarlo, "_draw_unit", spy)
+        # Warm: tails, psi2 and tails again on one cache.
+        fresh_mc_results(monkeypatch)
+        self.run(tmp_path, "tails", tmp_path / "warm")
+        self.run(tmp_path, "psi2", tmp_path / "warm")
+        drawn = len(draws)
+        self.run(tmp_path, "tails", tmp_path / "again")
+        assert len(draws) == drawn > 0  # the second tails reads every result
+        # Cold: each l alone, each command on an empty cache.
+        psi2_rows = []
+        for l in self.CONFIG["l_grid"]:
+            for command in ("tails", "psi2"):
+                fresh_mc_results(monkeypatch)
+                self.run(tmp_path, command, tmp_path / "cold", [l])
+            psi2_rows += (tmp_path / "cold" / "psi2.csv").read_text().splitlines()[1:]
+
+        def tails_files(out):
+            return {f.name: f.read_bytes() for f in sorted(out.glob("tails_*.csv"))}
+
+        warm = tails_files(tmp_path / "warm")
+        assert len(warm) == (8 + 8) * 2 * 3
+        assert tails_files(tmp_path / "cold") == warm == tails_files(tmp_path / "again")
+        warm_rows = (tmp_path / "warm" / "psi2.csv").read_text().splitlines()[1:]
+        assert sorted(psi2_rows) == sorted(warm_rows)
+        assert len(warm_rows) == 16 * 2 * 3
+
+    def test_results_bounded_in_bytes(self, tmp_path, monkeypatch):
+        fresh_mc_results(monkeypatch)
+        self.run(tmp_path, "tails", tmp_path / "kept")
+        self.run(tmp_path, "psi2", tmp_path / "kept")
+        cache = cli._MC_RESULTS
+        entries = list(cache._entries.items())
+        # Per m: centering at N = 30, tails, and psi2 for three parts, one
+        # entry per class point (four at N = 8, six at N = 30).
+        assert len(entries) == 2 * (6 + (4 + 6) + (4 + 6) * 3)
+        assert cache.nbytes == sum(entry.nbytes for _, entry in entries) <= cli.MC_RESULTS_BYTES
+        for key, entry in entries:
+            kept = entry.value
+            assert entry.nbytes == kept.nbytes == cli._held_bytes(key, kept.value)
+            if isinstance(kept.value, montecarlo.Accumulator):
+                hits = kept.value.threshold_hits
+                floor = sys.getsizeof(hits) + sum(map(sys.getsizeof, hits)) + sys.getsizeof(key)
+                assert kept.nbytes > floor
+        # A bound too small for any result keeps none and writes the same
+        # bytes.
+        monkeypatch.setattr(cli, "_MC_RESULTS", oracle._ByteCache(1))
+        self.run(tmp_path, "tails", tmp_path / "unkept")
+        self.run(tmp_path, "psi2", tmp_path / "unkept")
+        assert cli._MC_RESULTS.nbytes == 0 and not cli._MC_RESULTS._entries
+        for name in ("tails_N30_l7_m5_modulus_centered.csv", "psi2.csv"):
+            unkept, kept = (tmp_path / out / name for out in ("unkept", "kept"))
+            assert unkept.read_bytes() == kept.read_bytes()
+
+
 class TestRegistration:
     def test_tails_passes_register_only_what_they_read(self, tmp_path, monkeypatch):
         # N above the guard: the centering pass reads the mean modulus, the
@@ -520,6 +633,7 @@ class TestRegistration:
             return accs
 
         monkeypatch.setattr(cli, "mc_run_many", spy)
+        fresh_mc_results(monkeypatch)
         path = write_config(
             tmp_path,
             {

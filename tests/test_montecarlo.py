@@ -13,6 +13,7 @@ import pytest
 import spectral_mask
 from mc_reference import (
     chunk_part_values,
+    class_l,
     dense_psi2_norm,
     stream_chunks,
     stream_mask_chunks,
@@ -233,6 +234,94 @@ class TestFrequencyClasses:
         assert inner >= 4
 
 
+class TestClassDraws:
+    """A run at (N, l, m) draws with the atoms of its class point
+    (N, gcd(l, N) mod N, m): its results equal the class point's bit for
+    bit, and a grouped call computes each class point once."""
+
+    @pytest.mark.parametrize("N", [1, 2, 6, 12, 30, 256, 1000])
+    def test_atom_multiset_is_the_class_points(self, N):
+        for l in range(N):
+            g = math.gcd(l, N) % N
+            assert ModelParams(N, l, 1).class_point == ModelParams(N, g, 1)
+            got, want = np.sort(atom_table(N, l)), np.sort(atom_table(N, g))
+            assert got.tobytes() == want.tobytes(), l
+
+    # l coprime to N, l = N - 1, another class, then l = 0 and N = 2l, each
+    # its own class point; at N = 12, 30 and 1000 (several chunks there).
+    @pytest.mark.parametrize(
+        "N,l,m,g",
+        [
+            (12, 5, 4, 1),
+            (12, 11, 3, 1),
+            (12, 10, 5, 2),
+            (12, 0, 5, 0),
+            (12, 6, 4, 6),
+            (30, 21, 7, 3),
+            (1000, 999, 333, 1),
+            (1000, 500, 1000, 500),
+        ],
+    )
+    def test_runs_equal_their_class_point(self, monkeypatch, N, l, m, g):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 18)
+        params = ModelParams(N, l, m)
+        assert params.class_point == ModelParams(N, g, m)
+        cfg = McConfig(samples=1_500, seed=53)
+        queries = McQueries(
+            parts=(Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED),
+            moment_orders=(1, 3),
+            tail_thresholds=(0.0, 0.5 * math.sqrt(N), math.sqrt(N)),
+            modulus_center=0.5 * math.sqrt(m),
+        )
+        got = mc_run(params, queries, cfg, workers=2)
+        want = mc_run(params.class_point, queries, cfg)
+        assert got.params == params
+        assert (got.n, got.power_sums, got.threshold_hits) == (
+            want.n,
+            want.power_sums,
+            want.threshold_hits,
+        )
+        assert got == fold(chunk_accumulators(params, queries, cfg))
+        for part, center in ((Part.REAL, None), (Part.IMAG, None), (Part.MODULUS_CENTERED, 1.5)):
+            est = mc_psi2(params, part, cfg, center=center)
+            assert est == mc_psi2(params.class_point, part, cfg, center=center), part
+
+    def test_each_class_point_computed_once(self, monkeypatch):
+        # Four l of one class and two of another at N = 12, two m: the
+        # draws carry one column pair per class point, every run gets its
+        # class point's reductions as its own copy, and psi2 estimates once
+        # per (class point, part, center).
+        draws = []
+        estimates = []
+        real_draw, real_estimate = montecarlo._draw_unit, montecarlo._psi2_estimate
+
+        def spy_draw(N, columns, seed, unit):
+            draws.append(sorted(columns))
+            return real_draw(N, columns, seed, unit)
+
+        def spy_estimate(sq, N, tol):
+            estimates.append(N)
+            return real_estimate(sq, N, tol)
+
+        monkeypatch.setattr(montecarlo, "_draw_unit", spy_draw)
+        monkeypatch.setattr(montecarlo, "_psi2_estimate", spy_estimate)
+        cfg = McConfig(samples=3_000, seed=5)
+        queries = McQueries(parts=(Part.REAL,), moment_orders=(2,), tail_thresholds=(1.0,))
+        points = [ModelParams(12, l, m) for m in (3, 4) for l in (1, 5, 7, 11, 2, 10)]
+        accs = mc_run_many([(p, queries) for p in points], cfg)
+        assert draws == [[(1, 3), (1, 4), (2, 3), (2, 4)]]
+        for p, acc in zip(points, accs):
+            alone = mc_run(p.class_point, queries, cfg)
+            assert acc.params == p
+            assert (acc.power_sums, acc.threshold_hits) == (alone.power_sums, alone.threshold_hits)
+        assert accs[0].threshold_hits is not accs[1].threshold_hits
+        runs = [(p, part, None) for p in points for part in (Part.REAL, Part.IMAG)]
+        ests = mc_psi2_many(runs, cfg)
+        assert len(estimates) == 8  # two classes, two m, two parts
+        for (p, part, _), est in zip(runs, ests):
+            assert est == mc_psi2(p.class_point, part, cfg)
+
+
 class TestMergeAlgebra:
     def test_merge_matches_single_pass(self, monkeypatch):
         # The chunk accumulators of a four-chunk run, folded left to right,
@@ -357,8 +446,8 @@ class TestPowerSums:
         samples = {Part.IMAG: im, Part.MODULUS_CENTERED: np.hypot(re, im) - 1.25}
         z = _z_value(cfg.confidence)
         for part, x in samples.items():
-            direct = {1: float(x.sum()), 2: float(np.dot(x, x))}
-            direct.update({k: float(np.sum(x**k)) for k in (3, 4, 6)})
+            direct = {1: float(x.sum())}
+            direct.update({k: float(np.sum(x**k)) for k in (2, 3, 4, 6)})
             for k in (1, 2, 3):
                 est = mc_moment(acc, part, k)
                 mean = direct[k] / x.size
@@ -634,6 +723,37 @@ def test_samples_independent_of_blas_threads():
         assert drawn == reference, case
 
 
+_POWER_SUM_SCRIPT = """
+from spectral_mask import montecarlo
+
+# One 262,144-row chunk at N = 12 and two prefixes of it; OpenBLAS threads a
+# dot product from 16,384 elements up.
+re, _ = montecarlo._draw_unit(12, {(1, 4): (True, False)}, 42, (0, 262_144))[(1, 4)]
+for rows in (20_000, 65_537, 262_144):
+    print(rows, repr(montecarlo._power_sum(re[:rows], 2)))
+"""
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for two BLAS threads")
+def test_power_sums_independent_of_blas_threads():
+    # The order-2 power sum of a long chunk, as the accumulator takes it,
+    # has the same bits at one and at two BLAS threads.
+    path = str(Path(spectral_mask.__file__).parents[1])
+    procs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _POWER_SUM_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in (1, 2)
+    }
+    out = {threads: proc.communicate()[0].splitlines() for threads, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert len(out[1]) == 3
+    assert out[1] == out[2]
+
+
 class TestMcPsi2:
     def test_three_point_case(self):
         params = ModelParams(2, 1, 1)
@@ -791,10 +911,10 @@ class TestMcPsi2:
         for N in range(1, 13):
             assert list(_units(cfg, N)) == [(0, cfg.samples)]
             at_n = [(p, est) for p, est in zip(points, got) if p.N == N]
-            columns = {(p.l, p.m): (True, False) for p, _ in at_n}
+            columns = {(class_l(p), p.m): (True, False) for p, _ in at_n}
             draws = _draw_unit(N, columns, cfg.seed, (0, cfg.samples))
             for p, est in at_n:
-                re = draws[(p.l, p.m)][0]
+                re = draws[(class_l(p), p.m)][0]
                 want = dense_psi2_norm(re * re, N, tol)
                 assert abs(est.norm - want) <= tol, p
                 identical += est.norm == want
@@ -875,8 +995,27 @@ class TestGroupedRuns:
         monkeypatch.setattr(montecarlo, "_draw_unit", spy)
         runs = [(p, McQueries(parts=(Part.REAL,))) for p in self.POINTS]
         mc_run_many(runs, self.CFG)
-        # One draw per chunk and N, for the distinct (l, m) of its runs.
-        assert sorted(draws) == [(12, 2)] + [(1000, 4)] * 9
+        # One draw per chunk and N, for the distinct class points (l, m) of
+        # its runs: l = 3 and 7 at N = 1000 are both in the class of l = 1.
+        assert sorted(draws) == [(12, 2)] + [(1000, 3)] * 9
+
+    def test_groups_share_one_m(self, monkeypatch):
+        # Six class points at N = 12 and three m, given l-major; in groups
+        # of two runs ordered by m, each group decides its masks for one m.
+        compares = []
+        real_masks = montecarlo._UnitMasks.masks
+
+        def spy(self, m):
+            compares.append(m)
+            return real_masks(self, m)
+
+        monkeypatch.setattr(montecarlo._UnitMasks, "masks", spy)
+        monkeypatch.setattr(montecarlo, "_GROUP_BYTES", 2 * 16 * self.CFG.samples)
+        points = [ModelParams(12, l, m) for l in (0, 1, 2, 3, 4, 6) for m in (3, 4, 12)]
+        runs = [(p, McQueries(parts=(Part.REAL,), tail_thresholds=(1.0,))) for p in points]
+        accs = mc_run_many(runs, self.CFG)
+        assert compares == [3] * 3 + [4] * 3 + [12] * 3
+        assert accs == [mc_run(p, q, self.CFG) for p, q in runs]
 
     def test_empty_and_invalid(self):
         assert mc_run_many([], self.CFG) == []

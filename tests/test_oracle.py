@@ -551,6 +551,27 @@ class TestLawCache:
             assert entry.nbytes == 1000 + len(entry.answers) * oracle._ANSWER_BYTES
         assert not cache._building
 
+    def test_get_many_builds_each_missing_key_once(self):
+        cache = oracle._ByteCache(250)
+        calls = []
+
+        def build_many(missing):
+            calls.append(list(missing))
+            return [SimpleNamespace(nbytes=key[1], key=key) for key in missing]
+
+        got = cache.get_many([("a", 100), ("b", 300), ("a", 100)], build_many)
+        assert calls == [[("a", 100), ("b", 300)]]
+        assert [v.key for v in got] == [("a", 100), ("b", 300), ("a", 100)] and got[0] is got[2]
+        # "b" is larger than the bound: returned, not kept.
+        assert list(cache._entries) == [("a", 100)] and cache.nbytes == 100
+        got = cache.get_many([("c", 100), ("a", 100)], build_many)
+        assert calls[-1] == [("c", 100)] and got[1].key == ("a", 100)
+        cache.get_many([("a", 100)], build_many)
+        assert len(calls) == 2
+        cache.get_many([("d", 100)], build_many)
+        # Least recently used first: "c" goes, "a" was read after it.
+        assert list(cache._entries) == [("a", 100), ("d", 100)] and cache.nbytes == 200
+
     def test_bytes_stay_under_bound(self):
         bound = 200_000
         cache = oracle._ByteCache(bound)
