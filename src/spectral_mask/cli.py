@@ -7,7 +7,9 @@ Monte Carlo / closed-form tail tables per parameter point), ``crossover``
 
 Exit codes: 0 all checks passed, 1 a verification suite failed, 2 usage or
 configuration error.  Identical config and seed produce byte-identical
-output files; workers only change wall time.
+output files.  The workers run the Monte Carlo chunks and psi2 bisections
+and only change wall time; every other step of a command, the per-point
+exact and bound cells included, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .montecarlo import (
     McConfig,
     McQueries,
     _check_psi2_bytes,
-    _map_ordered,
     _splitmix64,
     mc_moment,
     mc_psi2_many,
@@ -411,18 +412,18 @@ def _modulus_centers(
     points: list[ModelParams], cfg: RunConfig, workers: int
 ) -> list[float | None]:
     """Center for modulus_centered queries at every point (``None`` when no
-    such part is asked for): exact when enumerable, otherwise from an
+    such part is asked for): the exact mean modulus when enumerable, answered
+    once per frequency class by the oracle, otherwise from an
     estimation pass on a seed derived from the main seed, one pass for all
     such points (each N drawn once)."""
     if Part.MODULUS_CENTERED not in cfg.parts:
         return [None] * len(points)
-    centers = list(
-        _map_ordered(
-            lambda p: _exact_mean_modulus(p, cfg) if p.N <= cfg.max_enum_n else None,
-            points,
-            workers,
-        )
-    )
+    centers = [
+        oracle.exact_moment(p, Part.MODULUS, 1, max_enum_n=cfg.max_enum_n)
+        if p.N <= cfg.max_enum_n
+        else None
+        for p in points
+    ]
     far = [i for i, center in enumerate(centers) if center is None]
     if far:
         pre = McConfig(
@@ -435,11 +436,6 @@ def _modulus_centers(
         for i, acc in zip(far, accs):
             centers[i] = mc_moment(acc, Part.MODULUS, 1).estimate
     return centers
-
-
-def _exact_mean_modulus(params: ModelParams, cfg: RunConfig) -> float:
-    dist = oracle.enumerate_distribution(params, Part.MODULUS, max_enum_n=cfg.max_enum_n)
-    return float(np.dot(dist.values, dist.probs))
 
 
 def _tails_point(
@@ -493,9 +489,7 @@ def cmd_tails(cfg: RunConfig) -> int:
             for params, center in zip(points, centers)
         ]
         accs = _mc_runs(runs, mc_cfg, workers)
-    results = list(
-        _map_ordered(lambda i: _tails_point(points[i], cfg, accs[i]), range(len(points)), workers)
-    )
+    results = [_tails_point(params, cfg, acc) for params, acc in zip(points, accs)]
     for files in results:
         for name, rows in files:
             path = cfg.output_dir / name
@@ -583,10 +577,11 @@ def cmd_psi2(cfg: RunConfig) -> int:
         ]
         norms = iter(_mc_psi2(runs, mc_cfg, workers))
         mc_norms = [[next(norms) for _ in cfg.parts] for _ in points]
-    results = _map_ordered(
-        lambda i: _psi2_point(points[i], cfg, mc_norms[i]), range(len(points)), workers
-    )
-    rows = [row for point_rows in results for row in point_rows]
+    rows = [
+        row
+        for params, point_norms in zip(points, mc_norms)
+        for row in _psi2_point(params, cfg, point_norms)
+    ]
     path = cfg.output_dir / "psi2.csv"
     _write_csv(path, PSI2_HEADER, rows)
     print(path)

@@ -107,13 +107,14 @@ _CHUNK_ROWS = 1 << 18
 # fixes the product calls whatever the block size.
 _BLOCK_ELEMENTS = 1 << 17
 # Bytes the runs sharing one draw may hold: each keeps its chunk samples
-# (16 B per row) while a unit runs, and a psi2 run also its squared samples
-# (8 B per sample).  A group of one run may exceed it.
+# (8 B per row for each atom column its parts read) while a unit runs, and a
+# psi2 run also its squared samples (8 B per sample).  A group of one run may
+# exceed it.
 _GROUP_BYTES = 16 << 20
 # OpenBLAS runs dgemv on the calling thread when rows x N is below
 # 2304 x GEMM_MULTITHREAD_THRESHOLD = 2304 x 4 (interface/gemv.c); larger
 # products wake its worker threads, which split the rows off the 4-row
-# kernel boundaries and spin on the cores the point threads need.
+# kernel boundaries and spin on the cores the Monte Carlo workers need.
 _GEMV_SINGLE_THREAD_ELEMENTS = 2304 * 4
 # A psi2 run is charged 24 B per sample.  It keeps its squared samples (8 B)
 # and adds 1 B of flags per sample while it finds their distinct values.
@@ -439,15 +440,21 @@ class _UnitMasks:
         return flat.reshape(-1, self.N)
 
 
+def _reads(parts) -> tuple[bool, bool]:
+    """Whether ``parts`` read the real and the imaginary atom column: the
+    real and imaginary parts one column each, a modulus part both."""
+    both = Part.MODULUS in parts or Part.MODULUS_CENTERED in parts
+    return both or Part.REAL in parts, both or Part.IMAG in parts
+
+
 def _columns(runs) -> dict:
     """(l, m) -> (real, imag) over the (params, parts) of ``runs``: whether
-    some run at (l, m) reads the real or the imaginary atom column.  The
-    real and imaginary parts read one column each, a modulus part both."""
+    some run at (l, m) reads the real or the imaginary atom column."""
     out: dict = {}
     for p, parts in runs:
-        both = Part.MODULUS in parts or Part.MODULUS_CENTERED in parts
         re, im = out.get((p.l, p.m), (False, False))
-        out[(p.l, p.m)] = (re or both or Part.REAL in parts, im or both or Part.IMAG in parts)
+        read_re, read_im = _reads(parts)
+        out[(p.l, p.m)] = (re or read_re, im or read_im)
     return out
 
 
@@ -497,20 +504,28 @@ def _draw_unit(N: int, columns: dict, seed: int, unit: tuple[int, int]) -> dict:
     return out
 
 
-def _groups(params: list[ModelParams], cfg: McConfig, sample_bytes: int) -> list[list[int]]:
-    """Indexes into ``params`` grouped by N and ordered by m, each N split
-    into consecutive groups that hold at most ``_GROUP_BYTES``: 16 B per row
-    of the largest unit for each run, plus ``sample_bytes`` per sample.
+def _groups(runs: list, cfg: McConfig, sample_bytes: int) -> list[list[int]]:
+    """Indexes into the (params, parts) ``runs`` grouped by N and ordered by
+    m, each N split into consecutive groups that hold at most
+    ``_GROUP_BYTES``: each run is charged 8 B per row of the largest unit
+    for each atom column its parts read, plus ``sample_bytes`` per sample.
     Runs of one m in one group share its threshold compare.  Grouping
     changes no bit."""
     by_n: dict = {}
-    for i in sorted(range(len(params)), key=lambda i: params[i].m):
-        by_n.setdefault(params[i].N, []).append(i)
+    for i in sorted(range(len(runs)), key=lambda i: runs[i][0].m):
+        by_n.setdefault(runs[i][0].N, []).append(i)
     groups = []
     for N, idx in by_n.items():
         rows = min(_rows_per_chunk(N), cfg.samples)
-        size = max(1, _GROUP_BYTES // (16 * rows + sample_bytes * cfg.samples))
-        groups += [idx[i : i + size] for i in range(0, len(idx), size)]
+        group, held = [], 0
+        for i in idx:
+            size = 8 * rows * sum(_reads(runs[i][1])) + sample_bytes * cfg.samples
+            if group and held + size > _GROUP_BYTES:
+                groups.append(group)
+                group, held = [], 0
+            group.append(i)
+            held += size
+        groups.append(group)
     return groups
 
 
@@ -618,7 +633,7 @@ def mc_run_many(
     # Each run's chunk partials fold left to right in stream order; the
     # first one is the run's accumulator as it stands.
     accs: list = [None] * len(unique)
-    tasks = _group_units(_groups(params, cfg, 0), params, cfg)
+    tasks = _group_units(_groups([(p, q.parts) for p, q in unique], cfg, 0), params, cfg)
     for group, partials in _map_ordered(run_unit, tasks, workers):
         for i, partial in zip(group, partials):
             accs[i] = partial if accs[i] is None else merge(accs[i], partial)
@@ -817,7 +832,7 @@ def mc_psi2_many(
     _check_psi2_bytes(cfg)
     unique, where = _distinct([(p.class_point, part, center) for p, part, center in runs])
     params = [p for p, _, _ in unique]
-    groups = _groups(params, cfg, 8)
+    groups = _groups([(p, (part,)) for p, part, _ in unique], cfg, 8)
     out: list = [None] * len(unique)
     for wave in _psi2_waves(groups, cfg, workers):
         sq = {i: np.empty(cfg.samples) for group in wave for i in group}

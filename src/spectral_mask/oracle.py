@@ -350,8 +350,9 @@ class _ByteCache:
 
     Least recently used entries are evicted first, their answers with them;
     a value larger than the bound is returned but not kept, and keeps no
-    answers.  A missing key is built by one thread at a time, so concurrent
-    requests for it wait for the first build instead of repeating it.
+    answers.  Every read, insert, answer and eviction holds one lock, so
+    threads may share the cache; builds run outside it, and when two threads
+    build one key at once the first insert is kept.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -359,8 +360,6 @@ class _ByteCache:
         self.nbytes = 0
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.Lock()
-        # Keys being built, each with the event its waiters block on.
-        self._building: dict[tuple, threading.Event] = {}
 
     def get(self, key: tuple, build):
         """The value at ``key``, built by ``build(*key)`` if missing."""
@@ -369,26 +368,9 @@ class _ByteCache:
     def get_many(self, keys: list, build_many) -> list:
         """The value at each of ``keys``.  The missing ones, each once, come
         from one call ``build_many(missing)`` that returns their values in
-        order, so a caller can share work among them; unlike ``get``, a
-        concurrent request for the same key builds it again."""
-        found: dict = {}
-        with self._lock:
-            for key in keys:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    found[key] = entry.value
-        missing = [key for key in dict.fromkeys(keys) if key not in found]
-        if missing:
-            found.update(zip(missing, build_many(missing)))
-            with self._lock:
-                for key in missing:
-                    entry = _Entry(found[key], found[key].nbytes)
-                    if key not in self._entries and entry.nbytes <= self.max_bytes:
-                        self._entries[key] = entry
-                        self.nbytes += entry.nbytes
-                self._evict()
-        return [found[key] for key in keys]
+        order, so a caller can share work among them."""
+        found = self._lookup(keys, build_many)
+        return [found[key].value for key in keys]
 
     def answer(self, key: tuple, build, query: tuple, compute):
         """``compute(value)`` for the value at ``key``, kept with that value
@@ -409,31 +391,32 @@ class _ByteCache:
         return result
 
     def _entry(self, key: tuple, build) -> _Entry:
-        while True:
-            with self._lock:
+        return self._lookup([key], lambda missing: [build(*key)])[key]
+
+    def _lookup(self, keys: list, build_many) -> dict:
+        """The entry at each of ``keys``: look them up, build the missing ones
+        in one call ``build_many(missing)``, and insert each that fits unless
+        another thread inserted its key meanwhile."""
+        found: dict = {}
+        with self._lock:
+            for key in keys:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._entries.move_to_end(key)
-                    return entry
-                done = self._building.get(key)
-                if done is None:
-                    done = self._building[key] = threading.Event()
-                    break
-            # Another thread builds this key; if it kept nothing, try again.
-            done.wait()
-        try:
-            value = build(*key)
-            entry = _Entry(value, value.nbytes)
+                    found[key] = entry
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
+        if missing:
+            built = [_Entry(value, value.nbytes) for value in build_many(missing)]
             with self._lock:
-                if entry.nbytes <= self.max_bytes:
-                    self._entries[key] = entry
-                    self.nbytes += entry.nbytes
-                    self._evict()
-        finally:
-            with self._lock:
-                del self._building[key]
-            done.set()
-        return entry
+                for key, entry in zip(missing, built):
+                    if key in self._entries:
+                        entry = self._entries[key]
+                    elif entry.nbytes <= self.max_bytes:
+                        self._entries[key] = entry
+                        self.nbytes += entry.nbytes
+                    found[key] = entry
+                self._evict()
+        return found
 
     def _evict(self) -> None:
         while self.nbytes > self.max_bytes:
@@ -547,25 +530,6 @@ def exact_moment(
     )
 
 
-def exact_tail(
-    params: ModelParams,
-    part: Part,
-    t: float,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> float:
-    """Exact P(|X| >= t) with the >= convention.
-
-    The comparison allows ``VALUE_GROUPING_TOL`` so outcomes that are
-    analytically at the threshold are counted regardless of float noise.
-    """
-    _require_real_part(part)
-    if not np.isfinite(t) or t < 0:
-        raise ParameterDomainError(f"t must be a finite nonnegative real, got {t!r}")
-    values, probs = _dist_arrays(params, part, max_enum_n)
-    return float(probs[np.abs(values) >= t - VALUE_GROUPING_TOL].sum())
-
-
 def exact_tail_curve(
     params: ModelParams,
     part: Part,
@@ -631,7 +595,7 @@ def _exp_moment(squares: np.ndarray, weights: np.ndarray, K: float) -> float:
     ``math.inf`` when even that overflows float64.  It holds one temporary
     of the size of ``squares`` (``weights`` may be a broadcast view), and it
     sums with ``np.add.reduce``, not ``np.dot``: a BLAS dot over long vectors
-    wakes OpenBLAS threads that stall the point threads calling it.
+    wakes OpenBLAS threads that stall the Monte Carlo workers calling it.
     """
     terms = squares / (K * K)
     peak = float(terms.max(initial=0.0))

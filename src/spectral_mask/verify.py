@@ -459,7 +459,9 @@ def suite_montecarlo(
         lambda: f"second moment {second.estimate!r} +/- {second.half_width!r} "
         f"misses {exact_second!r}",
     )
-    exact_tail_value = oracle.exact_tail(params, Part.REAL, 1.0, max_enum_n=max_enum_n)
+    exact_tail_value = float(
+        oracle.exact_tail_curve(params, Part.REAL, [1.0], max_enum_n=max_enum_n)[0]
+    )
     tail = mc_tail(acc, Part.REAL, 1.0)
     res.details["tail_at_1"] = {
         "estimate": tail.estimate,

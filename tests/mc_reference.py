@@ -99,9 +99,12 @@ def class_l(params: ModelParams) -> int:
     return math.gcd(params.l, params.N) % params.N
 
 
-def _products(params: ModelParams, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    atoms = atom_table(params.N, class_l(params))
+def _products(atoms: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masks @ np.ascontiguousarray(atoms.real), masks @ np.ascontiguousarray(atoms.imag)
+
+
+def _class_atoms(params: ModelParams) -> np.ndarray:
+    return atom_table(params.N, class_l(params))
 
 
 def chunk_part_values(
@@ -109,7 +112,7 @@ def chunk_part_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) of the first ``rows`` samples of a run of ``seed``, drawn as
     one chunk."""
-    return _products(params, draw_masks(params, seed, rows))
+    return _products(_class_atoms(params), draw_masks(params, seed, rows))
 
 
 def stream_mask_chunks(params: ModelParams, seed: int, samples: int):
@@ -126,8 +129,18 @@ def stream_mask_chunks(params: ModelParams, seed: int, samples: int):
 def stream_chunks(params: ModelParams, seed: int, samples: int):
     """The (re, im) chunks of a run of ``samples`` samples, drawn in order
     from the two sequential streams."""
+    atoms = _class_atoms(params)
     for _, masks, _ in stream_mask_chunks(params, seed, samples):
-        yield _products(params, masks)
+        yield _products(atoms, masks)
+
+
+def own_atom_chunks(params: ModelParams, seed: int, samples: int):
+    """The (re, im) chunks of the masks of ``stream_chunks``, multiplied by
+    the atoms of ``params.l`` itself rather than of its class point: samples
+    of the law at l, drawn without the engine's class mapping."""
+    atoms = atom_table(params.N, params.l)
+    for _, masks, _ in stream_mask_chunks(params, seed, samples):
+        yield _products(atoms, masks)
 
 
 def unit_chunks(params: ModelParams, seed: int, samples: int):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 import time
 
 import jsonschema
@@ -19,7 +20,7 @@ from spectral_mask.cli import (
     load_config,
 )
 from spectral_mask.model import ModelParams, Part
-from spectral_mask.oracle import exact_tail
+from spectral_mask.oracle import exact_tail_curve
 
 
 def write_config(tmp_path, data):
@@ -535,6 +536,39 @@ class TestClassCaches:
         assert len(warm_rows) == len(warm)
         assert summaries[0] == summaries[1] == summaries[2]
 
+    def test_tails_builds_each_law_once(self, tmp_path, monkeypatch):
+        # Several l of the classes gcd = 1 and 2 at N = 12, three workers,
+        # Monte Carlo on: the exact cells and centers read laws built on the
+        # calling thread, each law once.
+        builds = []
+        threads = set()
+        real_build = oracle._build_law
+
+        def spy(*key):
+            builds.append(key)
+            threads.add(threading.get_ident())
+            return real_build(*key)
+
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "_build_law", spy)
+        fresh_mc_results(monkeypatch)
+        path = write_config(
+            tmp_path,
+            {
+                "n_grid": [12],
+                "l_grid": [1, 5, 7, 11, 2, 10],
+                "m_grid": [3, 4],
+                "parts": ["real", "modulus_centered"],
+                "mc": {"samples": 2_000, "seed": 3},
+                "workers": 3,
+            },
+        )
+        assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("tails_*.csv"))) == 6 * 2 * 2
+        want = {(12, g, part) for g in (1, 2) for part in (Part.REAL, Part.MODULUS, Part.COMPLEX)}
+        assert len(builds) == len(set(builds)) and set(builds) == want
+        assert threads == {threading.get_ident()}
+
 
 class TestMcResults:
     """Monte Carlo results kept across commands, one per class point, write
@@ -767,7 +801,7 @@ class TestBoundReport:
         params = ModelParams(8, 1, 3)
         cells = _tail_bound_cells(params, Part.REAL, 1.0)  # thm23, eq9, eq10, q_form
         assert None not in cells
-        assert all(exact_tail(params, Part.REAL, 1.0) <= c for c in cells)
+        assert all(exact_tail_curve(params, Part.REAL, [1.0])[0] <= c for c in cells)
         assert _tail_bound_cells(params, Part.IMAG, 0.0)[0] == 2.0
         assert _tail_bound_cells(params, Part.IMAG, 0.0)[3] is None  # q_form needs t > 0
         assert _tail_bound_cells(params, Part.MODULUS_CENTERED, 1.0) == [

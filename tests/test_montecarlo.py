@@ -15,6 +15,7 @@ from mc_reference import (
     chunk_part_values,
     class_l,
     dense_psi2_norm,
+    own_atom_chunks,
     stream_chunks,
     stream_mask_chunks,
     unit_chunks,
@@ -30,7 +31,7 @@ from spectral_mask import (
     QueryError,
     enumerate_distribution,
     exact_moment,
-    exact_tail,
+    exact_tail_curve,
     mc_moment,
     mc_psi2,
     mc_psi2_many,
@@ -61,10 +62,11 @@ def run(samples=50_000, seed=7, queries=None, **kwargs):
     return mc_run(PARAMS, queries, McConfig(samples=samples, seed=seed), **kwargs)
 
 
-def chunk_accumulators(params, queries, cfg):
-    """One accumulator per chunk of the one-stream reference of ``cfg``."""
+def chunk_accumulators(params, queries, cfg, chunks=stream_chunks):
+    """One accumulator per chunk that ``chunks`` draws for ``cfg``, by
+    default the one-stream reference."""
     accs = []
-    for re, im in stream_chunks(params, cfg.seed, cfg.samples):
+    for re, im in chunks(params, cfg.seed, cfg.samples):
         acc = Accumulator.zero(params, queries, cfg)
         _accumulate(acc, re, im)
         accs.append(acc)
@@ -214,17 +216,21 @@ class TestPrefixRule:
 
 
 class TestFrequencyClasses:
-    """The law at (N, l, m) depends on l only through gcd(l, N): runs at l
-    and at gcd(l, N), on independent seeds, agree within their intervals."""
+    """The law at (N, l, m) depends on l only through gcd(l, N): the
+    engine's run at l, which draws with its class point's atoms, and a run
+    drawn with l's own atoms (``mc_reference.own_atom_chunks``), on
+    independent seeds, agree within their intervals."""
 
     @pytest.mark.parametrize("N,l,m", [(12, 5, 4), (12, 10, 3), (256, 6, 21), (256, 255, 8)])
     def test_tails_agree_across_the_class(self, N, l, m):
         g = math.gcd(l, N)
-        assert g != l
+        assert atom_table(N, l).tobytes() != atom_table(N, g).tobytes()
         thresholds = tuple(f * math.sqrt(m) for f in (0.25, 0.5, 1.0, 1.5))
         queries = McQueries(tail_thresholds=thresholds)
-        a = mc_run(ModelParams(N, l, m), queries, McConfig(samples=20_000, seed=101))
-        b = mc_run(ModelParams(N, g, m), queries, McConfig(samples=20_000, seed=202))
+        params = ModelParams(N, l, m)
+        a = mc_run(params, queries, McConfig(samples=20_000, seed=101))
+        own = McConfig(samples=20_000, seed=202)
+        b = fold(chunk_accumulators(params, queries, own, own_atom_chunks))
         inner = 0
         for part in queries.parts:
             for t in thresholds:
@@ -388,7 +394,7 @@ class TestEstimates:
     def test_tail_matches_oracle(self):
         acc = run(samples=200_000)
         est = mc_tail(acc, Part.REAL, 1.0)
-        assert est.covers(exact_tail(PARAMS, Part.REAL, 1.0))
+        assert est.covers(exact_tail_curve(PARAMS, Part.REAL, [1.0])[0])
 
     def test_moments_match_oracle(self):
         acc = run(samples=200_000, queries=McQueries(moment_orders=(1, 2)))
@@ -430,7 +436,7 @@ class TestEstimates:
         )
         acc = mc_run(params, queries, McConfig(samples=200_000, seed=9))
         est = mc_tail(acc, Part.MODULUS_CENTERED, 1.0)
-        assert est.covers(exact_tail(params, Part.MODULUS_CENTERED, 1.0))
+        assert est.covers(exact_tail_curve(params, Part.MODULUS_CENTERED, [1.0])[0])
 
 
 class TestPowerSums:
@@ -943,7 +949,8 @@ class TestGroupedRuns:
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 18)
 
     # Group byte limits: the default (one group per N), one run per group,
-    # groups of two tails runs, and groups of two psi2 runs.
+    # groups of two two-column tails runs (up to four real-only ones), and
+    # groups of two modulus psi2 runs.
     GROUP_BYTES = (montecarlo._GROUP_BYTES, 1, 2 * 16 * 262, 2 * (16 * 262 + 8 * 2_250))
 
     def test_mc_run_many(self, monkeypatch):
@@ -1010,12 +1017,34 @@ class TestGroupedRuns:
             return real_masks(self, m)
 
         monkeypatch.setattr(montecarlo._UnitMasks, "masks", spy)
-        monkeypatch.setattr(montecarlo, "_GROUP_BYTES", 2 * 16 * self.CFG.samples)
+        # Two real-only runs: 8 B per row each.
+        monkeypatch.setattr(montecarlo, "_GROUP_BYTES", 2 * 8 * self.CFG.samples)
         points = [ModelParams(12, l, m) for l in (0, 1, 2, 3, 4, 6) for m in (3, 4, 12)]
         runs = [(p, McQueries(parts=(Part.REAL,), tail_thresholds=(1.0,))) for p in points]
         accs = mc_run_many(runs, self.CFG)
         assert compares == [3] * 3 + [4] * 3 + [12] * 3
         assert accs == [mc_run(p, q, self.CFG) for p, q in runs]
+
+    def test_groups_charge_the_columns_read(self, monkeypatch):
+        # A run is charged 8 B per chunk row for each atom column its parts
+        # read: under a bound that holds two modulus runs, real-only runs
+        # share one draw four at a time.
+        draws = []
+        real_draw = montecarlo._draw_unit
+
+        def spy(N, columns, seed, unit):
+            draws.append(len(columns))
+            return real_draw(N, columns, seed, unit)
+
+        monkeypatch.setattr(montecarlo, "_draw_unit", spy)
+        monkeypatch.setattr(montecarlo, "_GROUP_BYTES", 2 * 16 * self.CFG.samples)
+        points = [ModelParams(12, l, 4) for l in (0, 1, 2, 3)]
+        for parts, want in (((Part.REAL,), [4]), ((Part.MODULUS,), [2, 2])):
+            runs = [(p, McQueries(parts=parts, tail_thresholds=(1.0,))) for p in points]
+            alone = [mc_run(p, q, self.CFG) for p, q in runs]
+            draws.clear()
+            assert mc_run_many(runs, self.CFG) == alone
+            assert draws == want
 
     def test_empty_and_invalid(self):
         assert mc_run_many([], self.CFG) == []
@@ -1047,7 +1076,9 @@ class TestCalibration:
                     cfg = McConfig(samples=16_384, seed=1000 + 31 * N + m + 977 * l)
                     acc = mc_run(params, queries, cfg)
                     checks = (
-                        mc_tail(acc, Part.REAL, t).covers(exact_tail(params, Part.REAL, t)),
+                        mc_tail(acc, Part.REAL, t).covers(
+                            exact_tail_curve(params, Part.REAL, [t])[0]
+                        ),
                         mc_moment(acc, Part.REAL, 1).covers(exact_moment(params, Part.REAL, 1)),
                         mc_moment(acc, Part.REAL, 2).covers(exact_moment(params, Part.REAL, 2)),
                     )

@@ -28,7 +28,6 @@ from spectral_mask import (
     exact_moment,
     exact_psi2_moment_norm,
     exact_psi2_norm,
-    exact_tail,
     exact_tail_curve,
     psi2_upper,
     weight_table,
@@ -202,31 +201,35 @@ class TestExactMoment:
 
 class TestExactTail:
     def test_at_zero(self):
-        assert exact_tail(ModelParams(6, 1, 3), Part.REAL, 0.0) == pytest.approx(1.0)
+        assert exact_tail_curve(ModelParams(6, 1, 3), Part.REAL, [0.0])[0] == pytest.approx(1.0)
 
     def test_beyond_support(self):
-        assert exact_tail(ModelParams(6, 1, 3), Part.REAL, 7.0) == 0.0
+        assert exact_tail_curve(ModelParams(6, 1, 3), Part.REAL, [7.0])[0] == 0.0
 
     def test_hand_enumerated_value(self):
-        assert exact_tail(ModelParams(3, 1, 1), Part.REAL, 1.0) == pytest.approx(6 / 27, abs=1e-12)
+        tail = exact_tail_curve(ModelParams(3, 1, 1), Part.REAL, [1.0])[0]
+        assert tail == pytest.approx(6 / 27, abs=1e-12)
 
     def test_threshold_tolerance_counts_boundary_atoms(self):
         # Mass sitting analytically at t must be included even though the
         # floating sums land an ulp away.
         params = ModelParams(3, 1, 1)
-        assert exact_tail(params, Part.REAL, 1.0) == exact_tail(params, Part.REAL, 1.0 - 1e-13)
+        at_t = exact_tail_curve(params, Part.REAL, [1.0])[0]
+        assert at_t == exact_tail_curve(params, Part.REAL, [1.0 - 1e-13])[0]
 
     def test_monotone_and_matches_curve(self):
+        # One threshold at a time gives the entries of the whole grid's curve.
         params = ModelParams(7, 2, 3)
         ts = np.linspace(0.0, 8.0, 40)
         curve = exact_tail_curve(params, Part.REAL, ts)
         assert (np.diff(curve) <= 1e-15).all()
         for t, v in zip(ts, curve):
-            assert exact_tail(params, Part.REAL, float(t)) == pytest.approx(float(v), abs=1e-15)
+            one = exact_tail_curve(params, Part.REAL, [float(t)])[0]
+            assert one == pytest.approx(float(v), abs=1e-15)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterDomainError):
-            exact_tail(ModelParams(4, 1, 2), Part.REAL, -0.5)
+            exact_tail_curve(ModelParams(4, 1, 2), Part.REAL, [-0.5])
 
     @pytest.mark.parametrize("N,l", [(5, 1), (6, 2), (8, 1), (8, 4)])
     @pytest.mark.parametrize("part", [Part.REAL, Part.IMAG, Part.MODULUS])
@@ -468,7 +471,7 @@ class TestConvolutionLaw:
             with pytest.raises(CapabilityError):
                 enumerate_distribution(ModelParams(25, 1, 3), Part.MODULUS)
             with pytest.raises(CapabilityError):
-                exact_tail(ModelParams(20, 1, 3), Part.REAL, 1.0, max_enum_n=16)
+                exact_tail_curve(ModelParams(20, 1, 3), Part.REAL, [1.0], max_enum_n=16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -476,7 +479,10 @@ class TestConvolutionLaw:
 
 
 class TestLawCache:
-    def test_concurrent_requests_build_once(self):
+    def test_concurrent_requests_keep_one_entry(self):
+        # Threads that miss one key at once may each build it; the first
+        # insert is kept, every caller gets that value, and the key is
+        # charged once.
         cache = oracle._ByteCache(1 << 20)
         builds = []
         lock = threading.Lock()
@@ -509,8 +515,10 @@ class TestLawCache:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(builds) == len(keys) and set(builds) == set(keys)
+        assert set(builds) == set(keys)
         assert all(len(ids) == 1 for ids in got.values()) and len(got) == len(keys)
+        assert set(cache._entries) == set(keys)
+        assert all(id(cache._entries[key].value) in got[key] for key in keys)
         assert cache.nbytes == 300
 
     def test_concurrent_answers_keep_the_byte_count(self):
@@ -549,7 +557,6 @@ class TestLawCache:
         assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
         for entry in cache._entries.values():
             assert entry.nbytes == 1000 + len(entry.answers) * oracle._ANSWER_BYTES
-        assert not cache._building
 
     def test_get_many_builds_each_missing_key_once(self):
         cache = oracle._ByteCache(250)

@@ -17,7 +17,11 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # 16-bit lanes by ``_UnitMasks``.  Exact laws group on integer keys in
 # Z[zeta_d], so the float clustering and its grouping margin are gone.  The
 # generic bounded-difference bound had no caller; its one use, the
-# real/imaginary tail bound, is ``tail_bound_uv``.
+# real/imaginary tail bound, is ``tail_bound_uv``.  The scalar exact tail
+# kept a second tail sum for one caller; every exact tail is now read from
+# ``exact_tail_curve``, and the CLI's modulus centers are the oracle's cached
+# first moment.  The CLI runs its per-point work on the calling thread, so
+# it no longer imports the worker map; only Monte Carlo uses it.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound", "mcdiarmid_bound", "McDiarmidCoefficients"),
     model: (
@@ -30,8 +34,11 @@ REMOVED = {
         "_batch_chunks", "_run_batch", "merge_tree", "_TreeFold", "_batches",
         "_substream", "_stream", "_unit_stream",
     ),
-    cli: ("BoundReport", "tail_bound_report", "_map_points", "_package_version"),
-    oracle: ("_group_real", "_group_complex", "_group_ids", "GROUPING_MARGIN"),
+    cli: (
+        "BoundReport", "tail_bound_report", "_map_points", "_package_version",
+        "_exact_mean_modulus", "_map_ordered",
+    ),
+    oracle: ("_group_real", "_group_complex", "_group_ids", "GROUPING_MARGIN", "exact_tail"),
 }
 REMOVED_ATTRIBUTES = {
     model.ModelParams: ("p", "is_dc"),
