@@ -103,7 +103,7 @@ def atom_table(N: int, l: int) -> np.ndarray:
 def _inclusion_threshold(m: int, N: int) -> int:
     # Keep index n iff a uniform 64-bit integer u satisfies u * N < m * 2**64,
     # i.e. u < ceil(m * 2**64 / N): exact integer comparison, no float bias.
-    # Monte Carlo decides it from u's top 16 bits against the threshold's,
-    # and reads u's low 48 bits only when the top bits tie (``montecarlo.
+    # Monte Carlo decides it from u's top 8 bits against the threshold's,
+    # and reads u's low 56 bits only when the top bits tie (``montecarlo.
     # _UnitMasks``); that is the same event, so the law is exactly m/N.
     return -((-m << 64) // N)

@@ -2,10 +2,10 @@
 
 Sampling uses the counter-based Philox generator (``philox4x64-10``).  A
 mask entry needs about one bit, so each 64-bit output of the main stream,
-keyed ``seed XOR splitmix64(0)``, serves four entries as 16-bit lanes: an
-entry is kept iff its lane, read as the top 16 bits of a uniform 64-bit u, is
-below the top 16 bits of the exact threshold of m/N.  Only on a tie
-(probability 2^-16) does u need its low 48 bits, read from a second stream
+keyed ``seed XOR splitmix64(0)``, serves eight entries as 8-bit lanes: an
+entry is kept iff its lane, read as the top 8 bits of a uniform 64-bit u, is
+below the top 8 bits of the exact threshold of m/N.  Only on a tie
+(probability 2^-8) does u need its low 56 bits, read from a second stream
 keyed ``seed XOR splitmix64(1)``.  That is exactly the event u < threshold,
 so the law is that of ``model._inclusion_threshold`` (``_UnitMasks`` states
 the rule).  A run's elements are cut into chunks of ``_rows_per_chunk(N)``
@@ -83,15 +83,15 @@ from .oracle import Psi2Definition, Psi2Estimate, _exp_moment, _psi2_bisect
 
 #: Generator family used for every draw; recorded in ``summary.json``.
 RNG_ALGORITHM = "philox4x64-10"
-#: How draws become samples: each mask bit is decided from a 16-bit lane of
-#: one main stream per seed, reading a tie stream's 48 bits only on a tie
+#: How draws become samples: each mask bit is decided from an 8-bit lane of
+#: one main stream per seed, reading a tie stream's 56 bits only on a tie
 #: (``_UnitMasks``), in chunks of ``_rows_per_chunk(N)`` rows whose results
 #: fold left to right; every l draws with the atoms of its class point, and
 #: power sums never go through BLAS.  Recorded in ``summary.json``.
-MC_ALGORITHM = "prefix16-tie48-chunk-fold-class-v1"
+MC_ALGORITHM = "prefix8-tie56-chunk-fold-class-v1"
 
 _MASK64 = (1 << 64) - 1
-_LOW_MASK = (1 << 48) - 1
+_LOW_MASK = (1 << 56) - 1
 # Elements (samples x N) generated per internal chunk, and at most
 # ``_CHUNK_ROWS`` rows; a fixed function of N only, so chunking never perturbs
 # the stream-to-sample mapping.  The samples equal one matrix-vector product
@@ -102,7 +102,7 @@ _LOW_MASK = (1 << 48) - 1
 _CHUNK_ELEMENTS = 1 << 22
 _CHUNK_ROWS = 1 << 18
 # Elements drawn per block, rounded to whole calls of ``_gemv_rows(N)`` rows:
-# a running unit holds 256 KiB of lanes and the 1 MiB float64 mask buffer it
+# a running unit holds 128 KiB of lanes and the 1 MiB float64 mask buffer it
 # reuses for every block and every m.  No bit depends on it: ``_chunk_plan``
 # fixes the product calls whatever the block size.
 _BLOCK_ELEMENTS = 1 << 17
@@ -384,12 +384,12 @@ def _philox_at(key: int, index: int) -> np.random.Philox:
 class _UnitMasks:
     """The Bernoulli masks of one unit, read block by block.
 
-    Element e of a run (row e // N, column e % N) takes lane e % 4 of word
-    e // 4 of the main stream, keyed seed XOR splitmix64(0): the 16 bits at
-    bit 16 * (e % 4), as the top 16 bits of a uniform 64-bit u.  At m < N it
+    Element e of a run (row e // N, column e % N) takes lane e % 8 of word
+    e // 8 of the main stream, keyed seed XOR splitmix64(0): the 8 bits at
+    bit 8 * (e % 8), as the top 8 bits of a uniform 64-bit u.  At m < N it
     is kept iff u < thr = ``_inclusion_threshold(m, N)``: a prefix below
-    thr >> 48 keeps it, one above drops it, and on a tie (probability 2^-16)
-    the low 48 bits of u are the top 48 bits of the next word of the tie
+    thr >> 56 keeps it, one above drops it, and on a tie (probability 2^-8)
+    the low 56 bits of u are the top 56 bits of the next word of the tie
     stream, keyed seed XOR splitmix64(1).  Each m reads the tie stream from
     the unit's first element on, in element order, so every bit depends on
     (seed, N, m, e) alone.
@@ -400,8 +400,8 @@ class _UnitMasks:
         self.N, self.seed, self.first = N, seed, e
         # The main stream is read only if some m < N needs its lanes.
         drawn = any(m != N for m in ms)
-        self.main = _philox_at(seed ^ _splitmix64(0), e // 4) if drawn else None
-        self.lane = e % 4  # lane of the next element in its word
+        self.main = _philox_at(seed ^ _splitmix64(0), e // 8) if drawn else None
+        self.lane = e % 8  # lane of the next element in its word
         self.carry = None  # that word, if the previous block read it
         self.lanes = None
         self.ties: dict = {}
@@ -414,12 +414,12 @@ class _UnitMasks:
         if self.main is None:
             return
         lane, end = self.lane, self.lane + self.size
-        words = self.main.random_raw((end + 3) // 4 - (self.carry is not None))
+        words = self.main.random_raw((end + 7) // 8 - (self.carry is not None))
         if self.carry is not None:
             words = np.concatenate((self.carry, words))
-        self.lane = end % 4
+        self.lane = end % 8
         self.carry = words[-1:].copy() if self.lane else None
-        self.lanes = words.astype("<u8", copy=False).view("<u2")[lane:end]
+        self.lanes = words.astype("<u8", copy=False).view("u1")[lane:end]
 
     def masks(self, m: int) -> np.ndarray:
         """The current block's masks at m as a (rows, N) 0/1 float64 view of
@@ -429,14 +429,14 @@ class _UnitMasks:
             flat.fill(1.0)
             return flat.reshape(-1, self.N)
         thr = _inclusion_threshold(m, self.N)
-        prefix, low = np.uint16(thr >> 48), thr & _LOW_MASK
+        prefix, low = np.uint8(thr >> 56), thr & _LOW_MASK
         np.less(self.lanes, prefix, out=flat)
         # A tie keeps only if its low part is below ``low``; none does at 0.
         tied = np.flatnonzero(self.lanes == prefix) if low else ()
         if len(tied):
             if m not in self.ties:
                 self.ties[m] = _philox_at(self.seed ^ _splitmix64(1), self.first)
-            flat[tied] = self.ties[m].random_raw(len(tied)) >> 16 < low
+            flat[tied] = self.ties[m].random_raw(len(tied)) >> 8 < low
         return flat.reshape(-1, self.N)
 
 

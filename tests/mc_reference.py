@@ -3,11 +3,11 @@
 A run reads two Philox streams from their start: the main stream, keyed
 ``seed XOR splitmix64(0)``, and the tie stream, keyed ``seed XOR
 splitmix64(1)``.  Element e of the run (row e // N, column e % N) stands for
-a uniform 64-bit u whose top 16 bits are lane e % 4 of main-stream word
-e // 4, the bits 16 * (e % 4) up to 16 * (e % 4) + 15.  At m < N the element
+a uniform 64-bit u whose top 8 bits are lane e % 8 of main-stream word
+e // 8, the bits 8 * (e % 8) up to 8 * (e % 8) + 7.  At m < N the element
 is kept iff u < ``_inclusion_threshold(m, N)``.  Only where the lane equals
-the threshold's top 16 bits (a tie) do u's low 48 bits matter: the ties of a
-chunk take, in element order, the top 48 bits of the tie-stream words from
+the threshold's top 8 bits (a tie) do u's low 56 bits matter: the ties of a
+chunk take, in element order, the top 56 bits of the tie-stream words from
 the chunk's first element on.  This module rebuilds u from those words and
 compares it whole; it shares no code with the engine's draw.
 
@@ -32,7 +32,7 @@ from spectral_mask import ModelParams
 from spectral_mask import montecarlo
 from spectral_mask.model import VALUE_GROUPING_TOL, _inclusion_threshold, atom_table
 
-_LANE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
+_LANE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 
 
 class Words:
@@ -54,7 +54,7 @@ class Words:
 
 
 class Lanes:
-    """The 16-bit lanes of the main stream of ``seed``, in element order."""
+    """The 8-bit lanes of the main stream of ``seed``, in element order."""
 
     def __init__(self, seed: int):
         self._words = Words(seed, 0)
@@ -63,8 +63,8 @@ class Lanes:
     def take(self, count: int) -> np.ndarray:
         short = count - self._pending.size
         if short > 0:
-            words = self._words.take(-(-short // 4))
-            lanes = (words[:, None] >> _LANE_SHIFTS) & np.uint64(0xFFFF)
+            words = self._words.take(-(-short // 8))
+            lanes = (words[:, None] >> _LANE_SHIFTS) & np.uint64(0xFF)
             self._pending = np.concatenate((self._pending, lanes.ravel()))
         out, self._pending = self._pending[:count], self._pending[count:]
         return out
@@ -81,10 +81,10 @@ def chunk_masks(
         return np.ones((rows, N), dtype=np.float64), np.zeros((rows, N), dtype=bool)
     threshold = _inclusion_threshold(m, N)
     top = lanes.take(rows * N)
-    tied = top == threshold >> 48
+    tied = top == threshold >> 56
     ties.skip_to(first)
-    u = top << np.uint64(48)
-    u[tied] |= ties.take(int(np.count_nonzero(tied))) >> np.uint64(16)
+    u = top << np.uint64(56)
+    u[tied] |= ties.take(int(np.count_nonzero(tied))) >> np.uint64(8)
     masks = (u < np.uint64(threshold)).astype(np.float64)
     return masks.reshape(rows, N), tied.reshape(rows, N)
 

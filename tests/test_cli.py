@@ -224,7 +224,7 @@ class TestVerifyCommand:
         jsonschema.validate(summary, shipped_schema("summary.schema.json"))
         assert summary["all_passed"] is True
         assert summary["environment"]["rng_algorithm"] == "philox4x64-10"
-        assert summary["environment"]["mc_algorithm"] == "prefix16-tie48-chunk-fold-class-v1"
+        assert summary["environment"]["mc_algorithm"] == "prefix8-tie56-chunk-fold-class-v1"
         assert summary["environment"]["law_algorithm"] == "cyclotomic-keys-count-tails-v1"
         assert summary["environment"]["package_version"] == spectral_mask.__version__
         assert set(summary["suites"]) == {"crossover", "qfunction", "montecarlo"}

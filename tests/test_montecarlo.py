@@ -176,8 +176,9 @@ class TestPrefixRule:
     @pytest.fixture(autouse=True)
     def nine_row_chunks(self, monkeypatch):
         # 9-row chunks of 9009 elements: 167 units whose starts fall mid-word
-        # and mid-counter (9009 % 16 = 1), each reference product small
-        # enough for one BLAS thread.
+        # and mid-counter (9009 % 32 = 17, so they meet all 32 lanes of a
+        # counter step's four words), each reference product small enough
+        # for one BLAS thread.
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 9 * self.N)
 
     # m = 500 keeps about half the elements, so a lane read from the wrong
@@ -187,7 +188,7 @@ class TestPrefixRule:
         params = ModelParams(self.N, 1, m)
         units = list(_units(self.CFG, self.N))
         assert len(units) == 167
-        assert {start * self.N % 16 for start, _ in units} == set(range(16))
+        assert {start * self.N % 32 for start, _ in units} == set(range(32))
         ties = kept = 0
         chunks = stream_mask_chunks(params, self.CFG.seed, self.CFG.samples)
         for (start, rows), (first, want, tied) in zip(units, chunks, strict=True):
@@ -201,7 +202,7 @@ class TestPrefixRule:
             assert np.concatenate(got).tobytes() == want.tobytes()
             ties += int(np.count_nonzero(tied))
             kept += int(np.count_nonzero(want[tied]))
-        # About 23 ties per m < N, some kept and some dropped.
+        # About 5,900 ties per m < N, some kept and some dropped.
         assert (0 < kept < ties) if m < self.N else ties == 0
 
     def test_runs_fold_the_reference(self):
@@ -213,6 +214,66 @@ class TestPrefixRule:
         for workers in (1, 3, 8):
             assert [mc_run(p, q, self.CFG, workers=workers) for p, q in runs] == want
             assert mc_run_many(runs, self.CFG, workers=workers) == want
+
+
+class TestMainStreamReads:
+    """Each main-stream word decides eight mask entries and is read once: a
+    unit of E elements from element f reads ceil((f + E) / 8) - floor(f / 8)
+    words, however its blocks split them and however many m it decides, and
+    none when every m equals N."""
+
+    SEED = 41
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        # 64-bit outputs read from each stream the engine positions, by key.
+        counts: dict = {}
+        philox_at = montecarlo._philox_at
+
+        class Counting:
+            def __init__(self, key, index):
+                self.key, self.bits = key, philox_at(key, index)
+                counts.setdefault(key, 0)
+
+            def random_raw(self, size):
+                counts[self.key] += size
+                return self.bits.random_raw(size)
+
+        monkeypatch.setattr(montecarlo, "_philox_at", Counting)
+        return counts
+
+    def main_words(self, reads):
+        return reads.get(self.SEED ^ montecarlo._splitmix64(0))
+
+    @staticmethod
+    def words(N, unit):
+        f, E = unit[0] * N, unit[1] * N
+        return -(-(f + E) // 8) - f // 8
+
+    # Unit starts and block ends fall mid-word, so blocks carry a word.
+    @pytest.mark.parametrize("N,unit", [(5, (7, 301)), (1001, (3, 9)), (1003, (2, 10))])
+    def test_blocks_read_each_word_once(self, reads, N, unit):
+        ms = (1, N // 2, N)
+        draw = montecarlo._UnitMasks(self.SEED, N, unit, ms, unit[1])
+        for rows in (1, 3, unit[1] - 4):
+            draw.next_block(rows)
+            for m in ms:
+                draw.masks(m)
+        assert self.main_words(reads) == self.words(N, unit)
+
+    def test_draw_unit_reads_each_word_once(self, monkeypatch, reads):
+        # 4-row calls in 60-row blocks of 300 elements: 17 blocks, each
+        # ending mid-word.
+        monkeypatch.setattr(montecarlo, "_GEMV_SINGLE_THREAD_ELEMENTS", 24)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 300)
+        N, unit = 5, (7, 1001)
+        _draw_unit(N, {(2, m): (True, True) for m in (1, 2, 4, 5)}, self.SEED, unit)
+        assert self.main_words(reads) == self.words(N, unit)
+
+    @pytest.mark.parametrize("N", [1, 5, 1001])
+    def test_full_masks_read_nothing(self, reads, N):
+        _draw_unit(N, {(0, N): (True, True), (N - 1, N): (True, False)}, self.SEED, (3, 50))
+        assert reads == {}
 
 
 class TestFrequencyClasses:

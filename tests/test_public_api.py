@@ -14,7 +14,7 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # the whole-chunk mask draw in tests/mc_reference.py; the per-batch loop
 # gave way to chunk units shared by every run with the same N, and batches,
 # their substreams and their merge tree to one stream per seed, read as
-# 16-bit lanes by ``_UnitMasks``.  Exact laws group on integer keys in
+# 8-bit lanes by ``_UnitMasks``.  Exact laws group on integer keys in
 # Z[zeta_d], so the float clustering and its grouping margin are gone.  The
 # generic bounded-difference bound had no caller; its one use, the
 # real/imaginary tail bound, is ``tail_bound_uv``.  The scalar exact tail
@@ -91,6 +91,14 @@ def test_removed_attributes_are_gone():
 @pytest.mark.parametrize("fn", [montecarlo.mc_run, montecarlo.mc_psi2], ids=lambda f: f.__name__)
 def test_no_work_ceiling(fn):
     assert "work_ceiling" not in inspect.signature(fn).parameters
+
+
+def test_readme_names_the_algorithm_tags():
+    # summary.json records these tags; a tag bump must move the README's
+    # description of the scheme with it.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for tag in (montecarlo.RNG_ALGORITHM, montecarlo.MC_ALGORITHM, oracle.LAW_ALGORITHM):
+        assert f"`{tag}`" in readme, tag
 
 
 def test_version_matches_pyproject():
