@@ -7,8 +7,11 @@ unity, d = N / gcd(l, N), so it has exact integer coordinates in Z[zeta_d]
 convolution, one atom at a time, on one int64 key per outcome that packs
 those coordinates: each step splits every outcome into atom-off and atom-on,
 merges equal keys and keeps an exact integer count of masks per (outcome,
-popcount).  The real and imaginary parts group on 2 Re z and 2i Im z, the
-modulus on |z|^2; floats are computed from the coordinates, for output only.
+popcount).  Equal and opposite atoms are convolved next to each other, so
+they merge early.  The real and imaginary parts group on 2 Re z and
+2i Im z.  The modulus groups the outcomes of the complex sum's convolution
+on |z|^2 as they come out of it; the complex law is built only when it is
+asked for.  Floats are computed from the coordinates, for output only.
 Probabilities weight the counts with the exact big-integer rational
 m^k (N-m)^(N-k) / N^N rounded once to float64.
 
@@ -56,7 +59,7 @@ LAW_ALGORITHM = "cyclotomic-keys-count-tails-v1"
 LAW_CACHE_BYTES = 64 << 20
 #: Byte bound on one law's count table; a build that would pass it is refused.
 LAW_BUILD_BYTES = 256 << 20
-#: Rows per slice of the modulus transients.
+#: Rows per slice of the convolution and modulus transients.
 _SLICE_ROWS = 1 << 12
 
 # Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(26, 13) < 2^31.
@@ -208,51 +211,73 @@ class _Law:
     """Law of one part of one frequency class, independent of m.
 
     ``values`` are the sorted outcomes; ``counts[k, i]`` is the exact number
-    of masks of popcount k whose value is outcome i.  The complex law keeps
-    each outcome's int8 coordinates in Z[zeta_d] for the modulus.
+    of masks of popcount k whose value is outcome i.  No law keeps
+    coordinates: the modulus law is grouped straight from the complex sum's
+    convolution, and the complex law is built only when it is asked for.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    coords: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.values, self.counts, self.coords) if a is not None)
+        return self.values.nbytes + self.counts.nbytes
+
+
+def _atom_order(N: int, d: int) -> np.ndarray:
+    """Order of the atoms n = 1..N, as indices n - 1, that puts equal atoms
+    (equal residues r = n mod d) and, for even d, opposite ones (r and
+    r + d/2) next to each other, so the convolution merges them early."""
+    r = np.arange(1, N + 1) % d
+    pair = np.minimum(r, (r + d // 2) % d) if d % 2 == 0 else r
+    return np.lexsort((r, pair))
+
+
+def _add_atom(keys: np.ndarray, counts: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """One convolution step: split every outcome into atom-off and atom-on
+    (key + ``delta``, popcount + 1) and merge equal keys.  Rows of ``counts``
+    are outcomes, so each half moves as whole rows; no key repeats within a
+    half.  Refused before the count table would pass ``LAW_BUILD_BYTES``."""
+    size, k = counts.shape
+    both = np.concatenate([keys, keys + delta])
+    first, gid = _group(both)
+    if (k + 1) * first.size * 4 > LAW_BUILD_BYTES:
+        raise CapabilityError(
+            f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
+            f"({first.size} outcomes after {k} atoms); use the Monte Carlo estimators"
+        )
+    grown = np.zeros((first.size, k + 1), dtype=np.int32)
+    grown[gid[:size], :k] = counts
+    # In slices: ``+=`` on a fancy index gathers its rows into a temporary.
+    on = gid[size:]
+    for s in range(0, size, _SLICE_ROWS):
+        grown[on[s : s + _SLICE_ROWS], 1:] += counts[s : s + _SLICE_ROWS]
+    return both[first], grown
 
 
 def _convolve(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and count table of the sum over a random subset of the
-    integer ``vectors``, one atom at a time.
+    """Coordinates and count table ``counts[k, i]`` of the sum over a random
+    subset of the integer ``vectors``, one atom at a time (``_add_atom``).
 
     An outcome is one int64 key, a mixed radix over each coordinate's range,
-    so an atom adds a fixed delta.  Each step splits every outcome into
-    atom-off and atom-on (popcount + 1) and merges equal keys; it is refused
-    before its count table would pass ``LAW_BUILD_BYTES``.
+    so an atom adds a fixed delta.  Keys, and so the result, do not depend on
+    the order of ``vectors``; an order that puts equal or opposite vectors
+    next to each other keeps the intermediate tables small.
     """
     lo, hi = np.minimum(vectors, 0).sum(axis=0), np.maximum(vectors, 0).sum(axis=0)
     strides = _strides(lo, hi)
     keys = np.array([-lo @ strides])
     counts = np.ones((1, 1), dtype=np.int32)
     for delta in vectors @ strides:
-        k, size = counts.shape
-        both = np.concatenate([keys, keys + delta])
-        first, gid = _group(both)
-        keys = both[first]
-        if (k + 1) * keys.size * 4 > LAW_BUILD_BYTES:
-            raise CapabilityError(
-                f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
-                f"({keys.size} outcomes after {k} atoms); use the Monte Carlo estimators"
-            )
-        grown = np.zeros((k + 1, keys.size), dtype=np.int32)
-        grown[:k, gid[:size]] = counts
-        for row, on in zip(grown[1:], counts):
-            row[gid[size:]] += on
-        counts = grown
+        keys, counts = _add_atom(keys, counts, delta)
     coords = np.empty((keys.size, lo.size), dtype=np.int8)
     for j, (stride, a, b) in enumerate(zip(strides, lo, hi)):
         coords[:, j] = keys // stride % (b - a + 1) + a
-    return coords, counts
+    # Transposed in slices, which keeps the reads in cache.
+    table = np.empty(counts.shape[::-1], dtype=np.int32)
+    for s in range(0, keys.size, _SLICE_ROWS):
+        table[:, s : s + _SLICE_ROWS] = counts[s : s + _SLICE_ROWS].T
+    return coords, table
 
 
 def _half_sum(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -262,6 +287,20 @@ def _half_sum(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for col, w in zip(coords.T, weights):
         acc += col * w
     return 0.5 * acc
+
+
+def _complex_parts(
+    coords: np.ndarray, powers: np.ndarray, cos: np.ndarray, sin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the outcomes with coordinates ``coords``.
+
+    2 Re z = z + conj(z) and 2i Im z = z - conj(z) are evaluated in int16
+    exactly as the real and imaginary laws evaluate their rows, so equal
+    parts get equal floats.
+    """
+    d, phi = powers.shape
+    z, zbar = coords.astype(np.int16), coords @ powers[-np.arange(phi) % d].astype(np.int16)
+    return _half_sum(z + zbar, cos), _half_sum(z - zbar, sin)
 
 
 def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -288,6 +327,23 @@ def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _modulus(
+    coords: np.ndarray, powers: np.ndarray, re: np.ndarray, im: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|z| and count table of the complex outcomes with coordinates
+    ``coords``, parts ``re`` and ``im`` and count table ``counts``, grouped
+    on |z|^2.  The floats of a group's members can differ in the last bit,
+    so its |z| is taken at one fixed member, the least by real, then
+    imaginary part: the member the sorted complex law lists first."""
+    first, gid = _group(_modulus_keys(coords, powers))
+    low_re = np.full(first.size, np.inf)
+    np.minimum.at(low_re, gid, re)
+    tie = re == low_re[gid]
+    low_im = np.full(first.size, np.inf)
+    np.minimum.at(low_im, gid[tie], im[tie])
+    return np.abs(low_re + 1j * low_im), _regroup(counts, gid, first.size)
+
+
 def _build_law(N: int, g: int, part: Part) -> _Law:
     d = N // math.gcd(g, N)
     powers = _powers(d, d)
@@ -295,32 +351,27 @@ def _build_law(N: int, g: int, part: Part) -> _Law:
     # zeta = exp(-2 pi i / d), so atom n of frequency g is zeta^(n mod d).
     theta = 2.0 * np.pi * np.arange(phi) / d
     cos, sin = np.cos(theta), -np.sin(theta)
-    atoms, conj = powers[np.arange(1, N + 1) % d], powers[-np.arange(1, N + 1) % d]
-    coords = None
-    if part is Part.MODULUS:
-        joint = _law(N, g, Part.COMPLEX)
-        first, gid = _group(_modulus_keys(joint.coords, powers))
-        values = np.abs(joint.values[first])
-        counts = _regroup(joint.counts, gid, first.size)
-    elif part is Part.COMPLEX:
-        coords, counts = _convolve(atoms)
-        # Evaluate 2 Re z = z + conj(z) and 2i Im z = z - conj(z) exactly as
-        # the real and imaginary laws do, so equal parts get equal floats.
-        z, zbar = coords.astype(np.int16), coords @ powers[-np.arange(phi) % d].astype(np.int16)
-        values = _half_sum(z + zbar, cos) + 1j * _half_sum(z - zbar, sin)
-    else:
+    n = 1 + _atom_order(N, d)
+    atoms, conj = powers[n % d], powers[-n % d]
+    if part in (Part.REAL, Part.IMAG):
         # The real and imaginary parts group on 2 Re z and 2i Im z.
         sign = 1 if part is Part.REAL else -1
         rows, counts = _convolve(atoms + sign * conj)
         values = _half_sum(rows, cos if part is Part.REAL else sin)
+    else:
+        coords, counts = _convolve(atoms)
+        re, im = _complex_parts(coords, powers, cos, sin)
+        if part is Part.COMPLEX:
+            values = re + 1j * im
+        else:
+            values, counts = _modulus(coords, powers, re, im, counts)
     # Complex values sort by real part, then imaginary part.
     order = np.argsort(values, kind="stable")
     for row in counts:
         row[:] = row[order]
-    law = _Law(values[order], counts, None if coords is None else coords[order])
-    for array in (law.values, law.counts, law.coords):
-        if array is not None:
-            array.flags.writeable = False
+    law = _Law(values[order], counts)
+    law.values.flags.writeable = False
+    law.counts.flags.writeable = False
     return law
 
 

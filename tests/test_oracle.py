@@ -109,6 +109,33 @@ def assert_same_law(got, want):
     assert np.abs(gp - wp).max() <= 1e-12
 
 
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def modulus_via_complex(N, g):
+    """Reference modulus law of class (N, g), derived from the complex law:
+    the complex outcomes with their coordinates in Z[zeta_d], convolved in
+    the natural atom order and put in the complex law's sort order, are
+    grouped on their packed |z|^2 (``_modulus_keys``), each group's counts
+    summed and its |z| taken at its first member.  Asserts on the way that
+    the outcomes and counts are those of ``_law(N, g, Part.COMPLEX)``."""
+    d = N // math.gcd(g, N)
+    powers = oracle._powers(d, d)
+    theta = 2.0 * np.pi * np.arange(powers.shape[1]) / d
+    coords, counts = oracle._convolve(powers[np.arange(1, N + 1) % d])
+    re, im = oracle._complex_parts(coords, powers, np.cos(theta), -np.sin(theta))
+    order = np.argsort(re + 1j * im, kind="stable")
+    joint = oracle._law(N, g, Part.COMPLEX)
+    assert same_bytes((re + 1j * im)[order], joint.values)
+    assert same_bytes(counts[:, order], joint.counts)
+    first, gid = oracle._group(oracle._modulus_keys(coords[order], powers))
+    values = np.abs(joint.values[first])
+    grouped = oracle._regroup(joint.counts, gid, first.size)
+    order = np.argsort(values, kind="stable")
+    return values[order], grouped[:, order]
+
+
 class TestEnumerateDistribution:
     def test_three_point_law(self):
         dist = enumerate_distribution(ModelParams(2, 1, 1), Part.REAL)
@@ -461,6 +488,35 @@ class TestConvolutionLaw:
         assert peak < 4 * budget
         assert enumerate_distribution(ModelParams(16, 1, 3), Part.REAL).values.size > 0
 
+    def test_direct_modulus_equals_modulus_of_complex_law(self):
+        for N in range(1, 17):
+            for g in sorted({math.gcd(l, N) % N for l in range(N)}):
+                values, counts = modulus_via_complex(N, g)
+                law = oracle._build_law(N, g, Part.MODULUS)
+                assert same_bytes(law.values, values), (N, g)
+                assert same_bytes(law.counts, counts), (N, g)
+
+    def test_atom_order_puts_equal_and_opposite_atoms_together(self):
+        assert ((1 + oracle._atom_order(8, 4)) % 4).tolist() == [0, 0, 2, 2, 1, 1, 3, 3]
+        assert ((1 + oracle._atom_order(6, 3)) % 3).tolist() == [0, 0, 1, 1, 2, 2]
+        for N in range(1, HARD_ENUM_CAP + 1):
+            for d in (d for d in range(1, N + 1) if N % d == 0):
+                assert sorted(oracle._atom_order(N, d).tolist()) == list(range(N))
+
+    @given(st.integers(min_value=1, max_value=14).flatmap(lambda N: st.permutations(range(N))))
+    @settings(max_examples=60, deadline=None)
+    def test_convolution_ignores_atom_order(self, perm):
+        # The complex, real and imaginary vectors of every class of N.
+        N = len(perm)
+        n = np.arange(1, N + 1)
+        for d in (d for d in range(1, N + 1) if N % d == 0):
+            powers = oracle._powers(d, d)
+            atoms, conj = powers[n % d], powers[-n % d]
+            for vectors in (atoms, atoms + conj, atoms - conj):
+                want = oracle._convolve(vectors)
+                got = oracle._convolve(vectors[list(perm)])
+                assert all(same_bytes(a, b) for a, b in zip(got, want)), (N, d)
+
     def test_guard_refuses_before_building(self, monkeypatch):
         def no_build(*key):
             raise AssertionError(f"law {key} built past the guard")
@@ -648,9 +704,9 @@ class TestClassAnswers:
                         assert got == class_answers(params, part), (params, part)
         assert warm.nbytes == sum(entry.nbytes for entry in warm._entries.values())
         # One answer table per frequency class and law, not per l: the real,
-        # imaginary, complex and modulus laws.
+        # imaginary and modulus laws; no complex law is built on the way.
         classes = {(N, math.gcd(l, N) % N) for N in range(1, 13) for l in range(N)}
-        assert len(warm._entries) == len(classes) * 4
+        assert len(warm._entries) == len(classes) * 3
 
     def test_cached_arrays_read_only(self, monkeypatch):
         monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
