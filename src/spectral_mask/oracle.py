@@ -4,15 +4,20 @@ Every closed-form identity and bound in :mod:`spectral_mask.bounds` is tested
 against this module.  An outcome at frequency l is a sum of d-th roots of
 unity, d = N / gcd(l, N), so it has exact integer coordinates in Z[zeta_d]
 (basis 1, zeta, ..., zeta^(phi(d)-1)).  The law of a part is built by
-convolution, one atom at a time, on one int64 key per outcome that packs
-those coordinates: each step splits every outcome into atom-off and atom-on,
-merges equal keys and keeps an exact integer count of masks per (outcome,
-popcount).  Equal and opposite atoms are convolved next to each other, so
-they merge early.  The real and imaginary parts group on 2 Re z and
-2i Im z.  The modulus groups the outcomes of the complex sum's convolution
-on |z|^2 as they come out of it; the complex law is built only when it is
-asked for.  Floats are computed from the coordinates, for output only.
-Probabilities weight the counts with the exact big-integer rational
+convolution on one int64 key per outcome that packs those coordinates.  For
+odd d each step adds one atom: every outcome splits into atom-off and
+atom-on.  For even d, zeta^(r + d/2) = -zeta^r, so the atoms form N/2
+opposite pairs (v, -v), and each step adds one pair: every outcome splits
+into -v, 0 and +v.  Equal keys merge after each step, with an exact integer
+count of masks per outcome and number of steps off zero; equal steps are
+convolved next to each other, so they merge early.  Popcounts come back
+exactly at the end: j pairs at +-v and q of the others both on make
+popcount j + 2q, in C(N/2 - j, q) ways.  The real and imaginary parts group
+on 2 Re z and 2i Im z.  The modulus groups the outcomes of the complex
+sum's convolution on |z|^2 as they come out of it, and expands popcounts
+only once grouped; the complex law is built only when it is asked for.
+Floats are computed from the coordinates, for output only.  Probabilities
+weight the counts with the exact big-integer rational
 m^k (N-m)^(N-k) / N^N rounded once to float64.
 
 The law does not depend on m, and the atom multiset at frequency l equals
@@ -20,8 +25,9 @@ the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
 Tail curves, moments, exp-moments and both psi2 norms are answered once
 per class: each answer is kept with the law under (query, m, part,
 arguments), and the other l of the class read it.  Laws and answers live in one cache bounded in bytes
-(``LAW_CACHE_BYTES``).  A build is refused as soon as its count table would
-pass ``LAW_BUILD_BYTES``.
+(``LAW_CACHE_BYTES``).  A build is refused as soon as one count table it
+holds would pass ``LAW_BUILD_BYTES``: the table of a convolution step, or
+the (N + 1)-popcount table of the law.
 
 The exp-moment E[exp(X^2/K^2)] has one evaluator (``_exp_moment``), over
 squared outcomes and their probabilities, and the exp-moment psi2 norm one
@@ -57,9 +63,10 @@ LAW_ALGORITHM = "cyclotomic-keys-count-tails-v1"
 #: Byte bound on the cache of laws, shared across m and frequency classes,
 #: and of the answers computed from them.
 LAW_CACHE_BYTES = 64 << 20
-#: Byte bound on one law's count table; a build that would pass it is refused.
+#: Byte bound on each count table a build holds (a convolution step's, the
+#: law's popcount table); a build that would pass it is refused.
 LAW_BUILD_BYTES = 256 << 20
-#: Rows per slice of the convolution and modulus transients.
+#: Rows per slice of the convolution, conjugate and popcount transients.
 _SLICE_ROWS = 1 << 12
 
 # Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(26, 13) < 2^31.
@@ -194,15 +201,25 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], gid
 
 
-def _regroup(counts: np.ndarray, gid: np.ndarray, size: int) -> np.ndarray:
-    """Sum the columns of ``counts`` that share a group id.
+def _charge(cells: int, what: str) -> None:
+    """Refuse a count table of ``cells`` int32 entries that would pass
+    ``LAW_BUILD_BYTES``, before it is allocated."""
+    if 4 * cells > LAW_BUILD_BYTES:
+        raise CapabilityError(
+            f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
+            f"({what}); use the Monte Carlo estimators"
+        )
+
+
+def _regroup(rows: np.ndarray, gid: np.ndarray, size: int) -> np.ndarray:
+    """Sum the rows of the count table ``rows`` that share a group id.
 
     ``bincount`` adds in float64, which is exact below 2^53; every count fits
     in int32 (module invariant), so the cast back is exact too.
     """
-    out = np.empty((counts.shape[0], size), dtype=np.int32)
-    for k, row in enumerate(counts):
-        out[k] = np.bincount(gid, weights=row, minlength=size)
+    out = np.empty((size, rows.shape[1]), dtype=np.int32)
+    for j in range(rows.shape[1]):
+        out[:, j] = np.bincount(gid, weights=rows[:, j], minlength=size)
     return out
 
 
@@ -224,69 +241,107 @@ class _Law:
         return self.values.nbytes + self.counts.nbytes
 
 
-def _atom_order(N: int, d: int) -> np.ndarray:
-    """Order of the atoms n = 1..N, as indices n - 1, that puts equal atoms
-    (equal residues r = n mod d) and, for even d, opposite ones (r and
-    r + d/2) next to each other, so the convolution merges them early."""
-    r = np.arange(1, N + 1) % d
-    pair = np.minimum(r, (r + d // 2) % d) if d % 2 == 0 else r
-    return np.lexsort((r, pair))
+def _steps(N: int, d: int) -> np.ndarray:
+    """Residues r of the atoms zeta^r, n = 1..N, one row per convolution
+    step.  For even d, zeta^(r + d/2) = -zeta^r, so each row is an opposite
+    pair (r, r + d/2), r < d/2; for odd d each row is one atom.  Rows are
+    sorted, so equal steps come next to each other and merge early."""
+    r = np.sort(np.arange(1, N + 1) % d)
+    if d % 2:
+        return r[:, None]
+    r = r[r < d // 2]
+    return np.stack([r, r + d // 2], axis=1)
 
 
-def _add_atom(keys: np.ndarray, counts: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """One convolution step: split every outcome into atom-off and atom-on
-    (key + ``delta``, popcount + 1) and merge equal keys.  Rows of ``counts``
-    are outcomes, so each half moves as whole rows; no key repeats within a
-    half.  Refused before the count table would pass ``LAW_BUILD_BYTES``."""
+def _add_atom(keys: np.ndarray, counts: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One convolution step: every outcome stays (key and count column
+    unchanged) or moves by one of the step's key ``deltas`` (column + 1), and
+    equal keys merge.  Rows of ``counts`` are outcomes, so each part moves as
+    whole rows; no key repeats within a part.  Refused before the count
+    table would pass ``LAW_BUILD_BYTES``."""
     size, k = counts.shape
-    both = np.concatenate([keys, keys + delta])
+    both = np.concatenate([keys, *(keys + delta for delta in deltas)])
     first, gid = _group(both)
-    if (k + 1) * first.size * 4 > LAW_BUILD_BYTES:
-        raise CapabilityError(
-            f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
-            f"({first.size} outcomes after {k} atoms); use the Monte Carlo estimators"
-        )
+    _charge(first.size * (k + 1), f"{first.size} outcomes after {k * len(deltas)} atoms")
     grown = np.zeros((first.size, k + 1), dtype=np.int32)
     grown[gid[:size], :k] = counts
     # In slices: ``+=`` on a fancy index gathers its rows into a temporary.
-    on = gid[size:]
-    for s in range(0, size, _SLICE_ROWS):
-        grown[on[s : s + _SLICE_ROWS], 1:] += counts[s : s + _SLICE_ROWS]
+    for move in range(1, len(deltas) + 1):
+        on = gid[move * size : (move + 1) * size]
+        for s in range(0, size, _SLICE_ROWS):
+            grown[on[s : s + _SLICE_ROWS], 1:] += counts[s : s + _SLICE_ROWS]
     return both[first], grown
 
 
-def _convolve(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and count table ``counts[k, i]`` of the sum over a random
-    subset of the integer ``vectors``, one atom at a time (``_add_atom``).
+def _convolve(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and count table ``rows[i, j]`` of the sum over a random
+    subset of the integer vectors ``steps[s, a]``, one step s at a time
+    (``_add_atom``).
 
-    An outcome is one int64 key, a mixed radix over each coordinate's range,
-    so an atom adds a fixed delta.  Keys, and so the result, do not depend on
-    the order of ``vectors``; an order that puts equal or opposite vectors
-    next to each other keeps the intermediate tables small.
+    A step is one vector (off or on) or an opposite pair (v, -v), which adds
+    -v, 0 or +v.  ``rows[i, j]`` counts the masks at outcome i with j steps
+    at one of their vectors; every other step sits at zero, with its atoms
+    off, or for a pair both off or both on (``_popcounts`` expands j to
+    popcounts).  An outcome is one int64 key, a mixed radix over each
+    coordinate's range, so a vector adds a fixed delta.  Keys, and so the
+    result, do not depend on the order of the steps; an order that puts
+    equal steps next to each other keeps the intermediate tables small.
+    Coordinates are decoded column-major: ``coords[:, c]`` is contiguous.
     """
+    vectors = steps.reshape(-1, steps.shape[-1])
     lo, hi = np.minimum(vectors, 0).sum(axis=0), np.maximum(vectors, 0).sum(axis=0)
     strides = _strides(lo, hi)
     keys = np.array([-lo @ strides])
-    counts = np.ones((1, 1), dtype=np.int32)
-    for delta in vectors @ strides:
-        keys, counts = _add_atom(keys, counts, delta)
-    coords = np.empty((keys.size, lo.size), dtype=np.int8)
-    for j, (stride, a, b) in enumerate(zip(strides, lo, hi)):
-        coords[:, j] = keys // stride % (b - a + 1) + a
-    # Transposed in slices, which keeps the reads in cache.
-    table = np.empty(counts.shape[::-1], dtype=np.int32)
-    for s in range(0, keys.size, _SLICE_ROWS):
-        table[:, s : s + _SLICE_ROWS] = counts[s : s + _SLICE_ROWS].T
-    return coords, table
+    rows = np.ones((1, 1), dtype=np.int32)
+    for deltas in steps @ strides:
+        keys, rows = _add_atom(keys, rows, deltas)
+    coords = np.empty((keys.size, lo.size), dtype=np.int8, order="F")
+    rest = keys
+    for c, (a, b) in enumerate(zip(lo, hi)):
+        # ``rest`` holds the digits from c up: take digit c off the bottom.
+        quo = rest // (b - a + 1)
+        coords[:, c] = rest - quo * (b - a + 1) + a
+        rest = quo
+    return coords, rows
+
+
+def _expansion(pairs: int) -> np.ndarray:
+    """(2 ``pairs`` + 1) x (``pairs`` + 1) matrix from the columns of a count
+    table of pair steps to popcounts.  Of P pairs, j sit at +-v with one atom
+    on, and q of the other P - j have both atoms on: popcount j + 2q, reached
+    in C(P - j, q) ways."""
+    out = np.zeros((2 * pairs + 1, pairs + 1))
+    for j in range(pairs + 1):
+        for q in range(pairs - j + 1):
+            out[j + 2 * q, j] = math.comb(pairs - j, q)
+    return out
+
+
+def _popcounts(rows: np.ndarray, order: np.ndarray, N: int) -> np.ndarray:
+    """``counts[k, i]``: the number of masks of popcount k at outcome
+    ``order[i]`` of the count table ``rows`` of ``_convolve`` over N atoms.
+    Single-atom steps count popcounts already; pair steps expand
+    (``_expansion``).  Refused before it would pass ``LAW_BUILD_BYTES``."""
+    _charge(order.size * (N + 1), f"{order.size} outcomes x {N + 1} popcounts")
+    expand = None if rows.shape[1] == N + 1 else _expansion(N // 2)
+    counts = np.empty((N + 1, order.size), dtype=np.int32)
+    # A quarter of ``_SLICE_ROWS``: a product slice holds float64 copies.
+    step = _SLICE_ROWS // 4
+    for s in range(0, order.size, step):
+        block = rows[order[s : s + step]].T
+        # Exact: every product and sum is a count of masks, below 2^31.
+        counts[:, s : s + step] = block if expand is None else expand @ block
+    return counts
 
 
 def _half_sum(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Half of sum_j coords[:, j] * weights[j], the columns added in order, so
     equal integer rows give bit-equal floats."""
-    acc = np.zeros(len(coords))
+    acc, term = np.zeros(len(coords)), np.empty(len(coords))
     for col, w in zip(coords.T, weights):
-        acc += col * w
-    return 0.5 * acc
+        acc += np.multiply(col, w, out=term)
+    acc *= 0.5
+    return acc
 
 
 def _complex_parts(
@@ -299,8 +354,15 @@ def _complex_parts(
     parts get equal floats.
     """
     d, phi = powers.shape
-    z, zbar = coords.astype(np.int16), coords @ powers[-np.arange(phi) % d].astype(np.int16)
-    return _half_sum(z + zbar, cos), _half_sum(z - zbar, sin)
+    conj = powers[-np.arange(phi) % d].T.astype(np.float64)
+    zbar = np.empty(coords.shape, dtype=np.int16, order="F")
+    for s in range(0, len(coords), _SLICE_ROWS):
+        # Exact: every product and sum is a small integer.
+        zbar[s : s + _SLICE_ROWS].T[...] = conj @ coords[s : s + _SLICE_ROWS].T
+    return (
+        _half_sum(np.add(coords, zbar, dtype=np.int16), cos),
+        _half_sum(np.subtract(coords, zbar, dtype=np.int16), sin),
+    )
 
 
 def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -308,68 +370,77 @@ def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
     |z|^2 = D_0 + sum_t D_t (zeta^t + zeta^-t), with D_t = sum_j c_(j+t) c_j
     over the coordinates c of z.  Columns of that form that always agree are
-    packed once, each over the range it really takes.
+    packed once, each over the range it really takes.  Each lag D_t is
+    summed in int16 from contiguous coordinate columns, one lag at a time:
+    every partial sum is at most D_0 = sum_j c_j^2 <= 676 at N <= 26.
     """
     d, phi = powers.shape
     form = powers[:phi] + powers[-np.arange(phi) % d]
     form[0] = powers[0]
-    form = np.unique(form, axis=1).astype(np.float64)
-    square = np.empty((len(coords), form.shape[1]), dtype=np.int32)
-    for s in range(0, len(coords), _SLICE_ROWS):
-        c = coords[s : s + _SLICE_ROWS].astype(np.float64)
-        lags = np.stack([np.einsum("ij,ij->i", c[:, t:], c[:, : phi - t]) for t in range(phi)], axis=1)
-        # Exact: every product and sum is a small integer.
-        square[s : s + len(c)] = lags @ form
-    lo, hi = square.min(axis=0), square.max(axis=0)
+    form = np.unique(form, axis=1)
+    square = np.zeros((form.shape[1], len(coords)), dtype=np.int32)
+    columns = coords.T
+    for t in range(phi):
+        lag = np.zeros(len(coords), dtype=np.int16)
+        for j in range(phi - t):
+            lag += np.multiply(columns[j + t], columns[j], dtype=np.int16)
+        for m in np.flatnonzero(form[t]):
+            square[m] += int(form[t, m]) * lag
+    lo, hi = square.min(axis=1), square.max(axis=1)
     keys = np.zeros(len(coords), dtype=np.int64)
-    for col, a, stride in zip(square.T, lo, _strides(lo, hi)):
-        keys += (col - a) * stride
+    for row, a, stride in zip(square, lo, _strides(lo, hi)):
+        keys += (row - a) * stride
     return keys
 
 
 def _modulus(
-    coords: np.ndarray, powers: np.ndarray, re: np.ndarray, im: np.ndarray, counts: np.ndarray
+    coords: np.ndarray, powers: np.ndarray, re: np.ndarray, im: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """|z| and count table of the complex outcomes with coordinates
-    ``coords``, parts ``re`` and ``im`` and count table ``counts``, grouped
+    ``coords``, parts ``re`` and ``im`` and count table ``rows``, grouped
     on |z|^2.  The floats of a group's members can differ in the last bit,
     so its |z| is taken at one fixed member, the least by real, then
     imaginary part: the member the sorted complex law lists first."""
-    first, gid = _group(_modulus_keys(coords, powers))
-    low_re = np.full(first.size, np.inf)
+    # Only the group ids are read, so ``np.unique``'s unstable sort serves:
+    # on these unordered keys it is 2.5x faster than ``_group``'s stable one.
+    moduli, gid = np.unique(_modulus_keys(coords, powers), return_inverse=True)
+    low_re = np.full(moduli.size, np.inf)
     np.minimum.at(low_re, gid, re)
     tie = re == low_re[gid]
-    low_im = np.full(first.size, np.inf)
+    low_im = np.full(moduli.size, np.inf)
     np.minimum.at(low_im, gid[tie], im[tie])
-    return np.abs(low_re + 1j * low_im), _regroup(counts, gid, first.size)
+    return np.abs(low_re + 1j * low_im), _regroup(rows, gid, moduli.size)
 
 
-def _build_law(N: int, g: int, part: Part) -> _Law:
+def _outcomes(N: int, g: int, part: Part) -> tuple[np.ndarray, np.ndarray]:
+    """Values, in key order, and count table (``_convolve``) of the distinct
+    outcomes of ``part`` at class (N, g)."""
     d = N // math.gcd(g, N)
     powers = _powers(d, d)
     phi = powers.shape[1]
     # zeta = exp(-2 pi i / d), so atom n of frequency g is zeta^(n mod d).
     theta = 2.0 * np.pi * np.arange(phi) / d
     cos, sin = np.cos(theta), -np.sin(theta)
-    n = 1 + _atom_order(N, d)
-    atoms, conj = powers[n % d], powers[-n % d]
+    r = _steps(N, d)
+    atoms, conj = powers[r], powers[-r % d]
     if part in (Part.REAL, Part.IMAG):
         # The real and imaginary parts group on 2 Re z and 2i Im z.
         sign = 1 if part is Part.REAL else -1
-        rows, counts = _convolve(atoms + sign * conj)
-        values = _half_sum(rows, cos if part is Part.REAL else sin)
-    else:
-        coords, counts = _convolve(atoms)
-        re, im = _complex_parts(coords, powers, cos, sin)
-        if part is Part.COMPLEX:
-            values = re + 1j * im
-        else:
-            values, counts = _modulus(coords, powers, re, im, counts)
+        coords, rows = _convolve(atoms + sign * conj)
+        return _half_sum(coords, cos if part is Part.REAL else sin), rows
+    coords, rows = _convolve(atoms)
+    re, im = _complex_parts(coords, powers, cos, sin)
+    if part is Part.COMPLEX:
+        return re + 1j * im, rows
+    return _modulus(coords, powers, re, im, rows)
+
+
+def _build_law(N: int, g: int, part: Part) -> _Law:
+    values, rows = _outcomes(N, g, part)
     # Complex values sort by real part, then imaginary part.
     order = np.argsort(values, kind="stable")
-    for row in counts:
-        row[:] = row[order]
-    law = _Law(values[order], counts)
+    values = values[order]
+    law = _Law(values, _popcounts(rows, order, N))
     law.values.flags.writeable = False
     law.counts.flags.writeable = False
     return law

@@ -374,11 +374,12 @@ class TestTailsCommand:
         assert abs(float(rows[0][1]) - 1.0) <= 4 * 2.0**-52
 
     def test_law_over_byte_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The complex sum at N = 17 passes 256 KiB of counts after 13 atoms.
         monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", 1 << 18)
         monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
         path = write_config(
             tmp_path,
-            {"n_grid": [16], "l_grid": [1], "m_grid": [3], "parts": ["modulus"], "mc": {"samples": 0}},
+            {"n_grid": [17], "l_grid": [1], "m_grid": [3], "parts": ["modulus"], "mc": {"samples": 0}},
         )
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 2
         assert "count budget" in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -115,25 +118,34 @@ def same_bytes(got, want):
 
 def modulus_via_complex(N, g):
     """Reference modulus law of class (N, g), derived from the complex law:
-    the complex outcomes with their coordinates in Z[zeta_d], convolved in
-    the natural atom order and put in the complex law's sort order, are
+    the complex outcomes with their coordinates in Z[zeta_d], convolved one
+    atom per step in the natural atom order and put in the complex law's
+    sort order, are
     grouped on their packed |z|^2 (``_modulus_keys``), each group's counts
     summed and its |z| taken at its first member.  Asserts on the way that
     the outcomes and counts are those of ``_law(N, g, Part.COMPLEX)``."""
     d = N // math.gcd(g, N)
     powers = oracle._powers(d, d)
     theta = 2.0 * np.pi * np.arange(powers.shape[1]) / d
-    coords, counts = oracle._convolve(powers[np.arange(1, N + 1) % d])
+    coords, rows = oracle._convolve(class_vectors(N, d, np.arange(1, N + 1)[:, None])[Part.COMPLEX])
     re, im = oracle._complex_parts(coords, powers, np.cos(theta), -np.sin(theta))
     order = np.argsort(re + 1j * im, kind="stable")
     joint = oracle._law(N, g, Part.COMPLEX)
     assert same_bytes((re + 1j * im)[order], joint.values)
-    assert same_bytes(counts[:, order], joint.counts)
+    assert same_bytes(rows.T[:, order], joint.counts)
     first, gid = oracle._group(oracle._modulus_keys(coords[order], powers))
     values = np.abs(joint.values[first])
-    grouped = oracle._regroup(joint.counts, gid, first.size)
+    grouped = oracle._regroup(joint.counts.T, gid, first.size).T
     order = np.argsort(values, kind="stable")
     return values[order], grouped[:, order]
+
+
+def class_vectors(N, d, r):
+    """The complex, real and imaginary vectors of the atoms zeta^r of the
+    class of order d, one per entry of ``r``: rows of ``r`` are steps."""
+    powers = oracle._powers(d, d)
+    atoms, conj = powers[r % d], powers[-r % d]
+    return {Part.COMPLEX: atoms, Part.REAL: atoms + conj, Part.IMAG: atoms - conj}
 
 
 class TestEnumerateDistribution:
@@ -459,6 +471,8 @@ class TestConvolutionLaw:
     def test_key_widths_fit(self):
         # Every convolution key at N <= 26 fits in int64 and every coordinate
         # in int8; the widest is the imaginary part at N = 23 (50.3 bits).
+        # The |z|^2 lags of a complex outcome and their products with the
+        # form's entries fit in int16 (``_modulus_keys``).
         widest = 0.0
         for N in range(1, HARD_ENUM_CAP + 1):
             for d in (d for d in range(1, N + 1) if N % d == 0):
@@ -471,22 +485,44 @@ class TestConvolutionLaw:
                     assert -128 <= lo.min() and hi.max() <= 127
                     oracle._strides(lo, hi)
                     widest = max(widest, float(np.log2(hi - lo + 1).sum()))
+                lo, hi = np.minimum(atoms, 0).sum(axis=0), np.maximum(atoms, 0).sum(axis=0)
+                assert np.maximum(lo**2, hi**2).sum() <= 676
+                phi = powers.shape[1]
+                assert np.abs(powers[:phi] + powers[-np.arange(phi) % d]).max() * 676 < 2**15
         assert 50.0 < widest < 51.0
 
     def test_byte_guard(self, monkeypatch):
-        # The complex law at N = 16 holds 6561 x 17 int32 counts (436 KiB).
+        # The complex sum at N = 17 (odd d, one atom per step) passes 256 KiB
+        # of counts after 13 atoms: 8192 outcomes x 14 columns.
         budget = 1 << 18
         monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
         monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
         tracemalloc.start()
         try:
-            with pytest.raises(CapabilityError, match="count budget"):
-                enumerate_distribution(ModelParams(16, 1, 3), Part.MODULUS)
+            with pytest.raises(CapabilityError, match="count budget .8192 outcomes after 13 atoms"):
+                enumerate_distribution(ModelParams(17, 1, 3), Part.MODULUS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * budget
         assert enumerate_distribution(ModelParams(16, 1, 3), Part.REAL).values.size > 0
+
+    def test_byte_guard_charges_the_expansion(self, monkeypatch):
+        # At N = 16 the pair table of the complex sum is 6561 x 9 int32 counts
+        # (231 KiB), but its law expands them to 6561 x 17 (436 KiB).  The
+        # modulus groups before it expands and stays under the budget.
+        budget = 1 << 18
+        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match="count budget .6561 outcomes x 17 popcounts"):
+                enumerate_distribution(ModelParams(16, 1, 3), Part.COMPLEX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget
+        assert enumerate_distribution(ModelParams(16, 1, 3), Part.MODULUS).values.size == 241
 
     def test_direct_modulus_equals_modulus_of_complex_law(self):
         for N in range(1, 17):
@@ -496,26 +532,66 @@ class TestConvolutionLaw:
                 assert same_bytes(law.values, values), (N, g)
                 assert same_bytes(law.counts, counts), (N, g)
 
-    def test_atom_order_puts_equal_and_opposite_atoms_together(self):
-        assert ((1 + oracle._atom_order(8, 4)) % 4).tolist() == [0, 0, 2, 2, 1, 1, 3, 3]
-        assert ((1 + oracle._atom_order(6, 3)) % 3).tolist() == [0, 0, 1, 1, 2, 2]
+    def test_steps_pair_opposite_atoms(self):
+        assert oracle._steps(8, 4).tolist() == [[0, 2], [0, 2], [1, 3], [1, 3]]
+        assert oracle._steps(6, 3).tolist() == [[0], [0], [1], [1], [2], [2]]
         for N in range(1, HARD_ENUM_CAP + 1):
             for d in (d for d in range(1, N + 1) if N % d == 0):
-                assert sorted(oracle._atom_order(N, d).tolist()) == list(range(N))
+                r = oracle._steps(N, d)
+                assert sorted(r.ravel().tolist()) == sorted((np.arange(1, N + 1) % d).tolist())
+                assert r.shape == ((N // 2, 2) if d % 2 == 0 else (N, 1))
+                assert r[:, 0].tolist() == sorted(r[:, 0].tolist())
+                if d % 2 == 0:
+                    powers = oracle._powers(d, d)
+                    assert (powers[r[:, 1]] == -powers[r[:, 0]]).all()
 
     @given(st.integers(min_value=1, max_value=14).flatmap(lambda N: st.permutations(range(N))))
     @settings(max_examples=60, deadline=None)
     def test_convolution_ignores_atom_order(self, perm):
         # The complex, real and imaginary vectors of every class of N.
         N = len(perm)
-        n = np.arange(1, N + 1)
         for d in (d for d in range(1, N + 1) if N % d == 0):
-            powers = oracle._powers(d, d)
-            atoms, conj = powers[n % d], powers[-n % d]
-            for vectors in (atoms, atoms + conj, atoms - conj):
+            for vectors in class_vectors(N, d, np.arange(1, N + 1)[:, None]).values():
                 want = oracle._convolve(vectors)
                 got = oracle._convolve(vectors[list(perm)])
                 assert all(same_bytes(a, b) for a, b in zip(got, want)), (N, d)
+
+    @staticmethod
+    def assert_pairs_equal_single_atoms(N, d, r, part):
+        # Coordinates decode the keys one to one, over the same ranges on
+        # both sides, so equal coordinates are equal keys in equal order.
+        pairs = class_vectors(N, d, r)[part]
+        single = class_vectors(N, d, np.arange(1, N + 1)[:, None])[part]
+        coords, rows = oracle._convolve(pairs)
+        want_coords, want_rows = oracle._convolve(single)
+        assert rows.shape[1] == N // 2 + 1 and want_rows.shape[1] == N + 1
+        assert same_bytes(coords, want_coords), (N, d, part)
+        counts = oracle._popcounts(rows, np.arange(len(rows)), N)
+        assert same_bytes(counts, np.ascontiguousarray(want_rows.T)), (N, d, part)
+
+    def test_pair_steps_equal_single_atom_steps(self):
+        for N in range(2, 17, 2):
+            for d in (d for d in range(2, N + 1, 2) if N % d == 0):
+                for part in (Part.COMPLEX, Part.REAL, Part.IMAG):
+                    self.assert_pairs_equal_single_atoms(N, d, oracle._steps(N, d), part)
+
+    @given(
+        st.sampled_from([(N, d) for N in range(2, 17, 2) for d in range(2, N + 1, 2) if N % d == 0])
+        .flatmap(lambda c: st.tuples(st.just(c), st.permutations(range(c[0] // 2))))
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pair_steps_ignore_pair_order(self, case):
+        (N, d), perm = case
+        for part in (Part.COMPLEX, Part.REAL, Part.IMAG):
+            self.assert_pairs_equal_single_atoms(N, d, oracle._steps(N, d)[list(perm)], part)
+
+    def test_expansion_counts_every_mask_once(self):
+        # Column j of P = N/2 pairs holds C(P, j) 2^j pair states; each
+        # expands to the C(N, k) masks of popcount k.
+        for N in range(2, HARD_ENUM_CAP + 1, 2):
+            P = N // 2
+            states = np.array([math.comb(P, j) * 2**j for j in range(P + 1)], dtype=np.float64)
+            assert (oracle._expansion(P) @ states).tolist() == [math.comb(N, k) for k in range(N + 1)]
 
     def test_guard_refuses_before_building(self, monkeypatch):
         def no_build(*key):
@@ -532,6 +608,24 @@ class TestConvolutionLaw:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+class TestLawDigests:
+    def test_laws_hash_equal_to_the_recorded_digests(self):
+        # SHA-256 of the values and counts bytes, with dtype and shape, of
+        # every class and law part at N <= 16 and of (20, 1) and (22, 1),
+        # recorded from the single-atom convolution.  A change to the bits
+        # of any law needs a new LAW_ALGORITHM tag and a new record.
+        recorded = json.loads((Path(__file__).parent / "law_digests.json").read_text())
+        assert len(recorded) == 4 * (sum(len({math.gcd(l, N) for l in range(N)}) for N in range(1, 17)) + 2)
+        for key, want in recorded.items():
+            N, g, part = key.split(",")
+            law = oracle._build_law(int(N), int(g), Part(part))
+            for name in ("values", "counts"):
+                a = getattr(law, name)
+                got = [a.dtype.str, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+                assert got == want[name], (key, name)
+        assert oracle.LAW_ALGORITHM == "cyclotomic-keys-count-tails-v1"
 
 
 class TestLawCache:
