@@ -9,7 +9,11 @@ Exit codes: 0 all checks passed, 1 a verification suite failed, 2 usage or
 configuration error.  Identical config and seed produce byte-identical
 output files.  The workers run the Monte Carlo chunks and psi2 bisections
 and only change wall time; every other step of a command, the per-point
-exact and bound cells included, runs on the calling thread.
+exact and bound cells included, runs on the calling thread.  Every exact
+cell asks the oracle; where its count, key or byte limits refuse the law
+(``CapabilityError``), the point's exact cells stay empty, never
+approximated, and ``modulus_centered`` takes its center from a Monte Carlo
+pass.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, bounds, oracle
-from .errors import ParameterDomainError, SpectralMaskError
+from .errors import CapabilityError, ParameterDomainError, SpectralMaskError
 from .model import ModelParams, Part
 from .montecarlo import (
     MC_ALGORITHM,
@@ -111,7 +115,6 @@ class RunConfig:
     mc_confidence: float = 0.99
     output_dir: Path = Path(".")
     suites: tuple[str, ...] = tuple(SUITES)
-    max_enum_n: int = oracle.DEFAULT_ENUM_GUARD
     workers: int = 4
 
     def iter_params(self) -> list[ModelParams]:
@@ -149,7 +152,6 @@ class RunConfig:
             },
             "output_dir": str(self.output_dir),
             "suites": list(self.suites),
-            "max_enum_n": self.max_enum_n,
             "workers": self.workers,
         }
 
@@ -187,8 +189,6 @@ def _apply_flags(data: dict, args: argparse.Namespace) -> dict:
         out["output_dir"] = args.out
     if args.suites is not None:
         out["suites"] = [s.strip() for s in args.suites.split(",") if s.strip()]
-    if args.max_enum_n is not None:
-        out["max_enum_n"] = args.max_enum_n
     mc = {k: v for k, v in (("seed", args.seed), ("samples", args.samples)) if v is not None}
     if mc:
         base = out.get("mc", {})
@@ -235,8 +235,6 @@ def build_config(data: dict) -> RunConfig:
         kwargs["output_dir"] = Path(data["output_dir"])
     if "suites" in data:
         kwargs["suites"] = tuple(data["suites"])
-    if "max_enum_n" in data:
-        kwargs["max_enum_n"] = data["max_enum_n"]
     if "workers" in data:
         kwargs["workers"] = data["workers"]
     return RunConfig(**kwargs)
@@ -408,22 +406,26 @@ def _mc_psi2(
     return _kept(keys, compute)
 
 
+def _exact(query, *args):
+    """``query(*args)`` of the oracle, or ``None`` where its count, key or
+    byte limits refuse the law."""
+    try:
+        return query(*args)
+    except CapabilityError:
+        return None
+
+
 def _modulus_centers(
     points: list[ModelParams], cfg: RunConfig, workers: int
 ) -> list[float | None]:
     """Center for modulus_centered queries at every point (``None`` when no
-    such part is asked for): the exact mean modulus when enumerable, answered
-    once per frequency class by the oracle, otherwise from an
+    such part is asked for): the exact mean modulus where the oracle admits
+    the law, answered once per frequency class, otherwise from an
     estimation pass on a seed derived from the main seed, one pass for all
     such points (each N drawn once)."""
     if Part.MODULUS_CENTERED not in cfg.parts:
         return [None] * len(points)
-    centers = [
-        oracle.exact_moment(p, Part.MODULUS, 1, max_enum_n=cfg.max_enum_n)
-        if p.N <= cfg.max_enum_n
-        else None
-        for p in points
-    ]
+    centers = [_exact(oracle.exact_moment, p, Part.MODULUS, 1) for p in points]
     far = [i for i, center in enumerate(centers) if center is None]
     if far:
         pre = McConfig(
@@ -452,8 +454,8 @@ def _tails_point(
         )
         exact = mc = [""] * len(ts)
         halfwidth = ""
-        if params.N <= cfg.max_enum_n:
-            curve = oracle.exact_tail_curve(params, part, ts, max_enum_n=cfg.max_enum_n)
+        curve = _exact(oracle.exact_tail_curve, params, part, ts)
+        if curve is not None:
             exact = [_fmt(v) for v in curve.tolist()]
         if acc is not None and len(ts):
             # The interval is one Hoeffding width per run; each estimate is
@@ -536,13 +538,10 @@ def _psi2_point(
     rows = []
     for part, mc_norm in zip(cfg.parts, mc_norms):
         exact_norm = moment_norm = None
-        if params.N <= cfg.max_enum_n:
-            exact_norm = oracle.exact_psi2_norm(
-                params, part, 1e-10, max_enum_n=cfg.max_enum_n
-            ).norm
-            moment_norm = oracle.exact_psi2_moment_norm(
-                params, part, max_enum_n=cfg.max_enum_n
-            ).norm
+        exact = _exact(oracle.exact_psi2_norm, params, part, 1e-10)
+        if exact is not None:
+            exact_norm = exact.norm
+            moment_norm = oracle.exact_psi2_moment_norm(params, part).norm
         rows.append(
             [
                 str(params.N),
@@ -667,10 +666,7 @@ def _run_suite(name: str, cfg: RunConfig, workers: int) -> SuiteResult:
             samples=cfg.mc_samples if cfg.mc_samples > 0 else 200_000,
             seed=cfg.mc_seed,
             workers_many=max(workers, 2),
-            max_enum_n=cfg.max_enum_n,
         )
-    if name in ("moments", "special_forms", "tails", "entropy_tails", "moment_chain", "psi2"):
-        return SUITES[name](max_enum_n=cfg.max_enum_n)
     return SUITES[name]()
 
 
@@ -707,8 +703,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="Monte Carlo seed override")
     common.add_argument("--samples", type=int, help="Monte Carlo sample-count override (0 disables MC)")
     common.add_argument("--suites", help="comma-separated suite names for `verify`")
-    common.add_argument("--max-enum-n", type=int, dest="max_enum_n",
-                        help="exact-enumeration guard override (default 24, hard cap 26)")
     parser = argparse.ArgumentParser(
         prog="spectral-mask",
         description="Verification tool for DFT-coefficient statistics of Bernoulli sampling masks",

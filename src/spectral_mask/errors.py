@@ -15,8 +15,8 @@ class HypothesisViolationError(SpectralMaskError, ValueError):
 
 
 class CapabilityError(SpectralMaskError, RuntimeError):
-    """The request exceeds a resource guard (enumeration size, or the bytes
-    ``mc_psi2`` would hold)."""
+    """The request exceeds a resource limit (the exact oracle's count type,
+    key width or table bytes, or the bytes ``mc_psi2`` would hold)."""
 
 
 class QueryError(SpectralMaskError, LookupError):

@@ -24,10 +24,17 @@ The law does not depend on m, and the atom multiset at frequency l equals
 the one at gcd(l, N), so one law serves every (l, m) of a frequency class.
 Tail curves, moments, exp-moments and both psi2 norms are answered once
 per class: each answer is kept with the law under (query, m, part,
-arguments), and the other l of the class read it.  Laws and answers live in one cache bounded in bytes
-(``LAW_CACHE_BYTES``).  A build is refused as soon as one count table it
-holds would pass ``LAW_BUILD_BYTES``: the table of a convolution step, or
-the (N + 1)-popcount table of the law.
+arguments), and the other l of the class read it.
+
+Three limits decide which laws are exact, each on a real cost.  Mask counts
+are int32, so every N >= 34 is refused before any lookup (C(34, 17) >=
+2^31).  An outcome key is one int64, so a class whose coordinate ranges
+need 63 bits or more is refused before it convolves (``_strides``).  A
+build is refused as soon as one table it holds would pass ``LAW_BYTES``:
+the count table of a convolution step, or the law's values with their
+(N + 1)-popcount table.  Laws and answers live in one cache bounded by the
+same ``LAW_BYTES``, so every law a build admits is kept; a key whose build
+was refused is refused at once for as long as the cache lives.
 
 The exp-moment E[exp(X^2/K^2)] has one evaluator (``_exp_moment``), over
 squared outcomes and their probabilities, and the exp-moment psi2 norm one
@@ -53,24 +60,22 @@ from .model import (
     Part,
 )
 
-#: Largest N enumerated unless the caller raises the guard explicitly.
-DEFAULT_ENUM_GUARD = 24
-#: Absolute ceiling on the guard override (2^26 masks).
-HARD_ENUM_CAP = 26
 #: Tag of the exact-law construction and of how exact tails are summed from
 #: it; exact artifact cells depend on it.
 LAW_ALGORITHM = "cyclotomic-keys-count-tails-v1"
-#: Byte bound on the cache of laws, shared across m and frequency classes,
-#: and of the answers computed from them.
-LAW_CACHE_BYTES = 64 << 20
-#: Byte bound on each count table a build holds (a convolution step's, the
-#: law's popcount table); a build that would pass it is refused.
-LAW_BUILD_BYTES = 256 << 20
+#: Byte bound on each table a build holds (a convolution step's count table,
+#: the law's values and popcount table), past which the build is refused,
+#: and on the cache of laws, shared across m and frequency classes, and of
+#: the answers computed from them.
+LAW_BYTES = 256 << 20
 #: Rows per slice of the convolution, conjugate and popcount transients.
 _SLICE_ROWS = 1 << 12
+#: Largest N whose mask counts all fit the int32 count tables.
+_COUNT_N_MAX = 33
 
-# Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(26, 13) < 2^31.
-assert math.comb(HARD_ENUM_CAP, HARD_ENUM_CAP // 2) < 2**31
+# Per-(outcome, popcount) mask counts are int32: C(N, k) <= C(33, 16) < 2^31,
+# and C(34, 17) would not fit.
+assert math.comb(_COUNT_N_MAX, _COUNT_N_MAX // 2) < 2**31 <= math.comb(34, 17)
 
 _LN2 = math.log(2.0)
 
@@ -142,7 +147,7 @@ def weight_table(N: int, m: int) -> np.ndarray:
 
     Each entry is the exact rational m^k (N-m)^(N-k) / N^N correctly rounded
     to float64 (true division of Python ints rounds once); no pow chains, no
-    underflow for N within the hard cap.
+    underflow: a nonzero weight is at least N^-N > 2^-167 at N <= 33.
     """
     if not isinstance(N, int) or N < 1 or not isinstance(m, int) or not 1 <= m <= N:
         raise ParameterDomainError(f"need 1 <= m <= N, got N={N!r}, m={m!r}")
@@ -201,12 +206,12 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], gid
 
 
-def _charge(cells: int, what: str) -> None:
-    """Refuse a count table of ``cells`` int32 entries that would pass
-    ``LAW_BUILD_BYTES``, before it is allocated."""
-    if 4 * cells > LAW_BUILD_BYTES:
+def _charge(nbytes: int, what: str) -> None:
+    """Refuse a table of ``nbytes`` that would pass ``LAW_BYTES``, before it
+    is allocated."""
+    if nbytes > LAW_BYTES:
         raise CapabilityError(
-            f"exact law needs more than the {LAW_BUILD_BYTES / 2**20:g} MiB count budget "
+            f"exact law needs more than the {LAW_BYTES / 2**20:g} MiB byte budget "
             f"({what}); use the Monte Carlo estimators"
         )
 
@@ -258,11 +263,11 @@ def _add_atom(keys: np.ndarray, counts: np.ndarray, deltas: np.ndarray) -> tuple
     unchanged) or moves by one of the step's key ``deltas`` (column + 1), and
     equal keys merge.  Rows of ``counts`` are outcomes, so each part moves as
     whole rows; no key repeats within a part.  Refused before the count
-    table would pass ``LAW_BUILD_BYTES``."""
+    table would pass ``LAW_BYTES``."""
     size, k = counts.shape
     both = np.concatenate([keys, *(keys + delta for delta in deltas)])
     first, gid = _group(both)
-    _charge(first.size * (k + 1), f"{first.size} outcomes after {k * len(deltas)} atoms")
+    _charge(4 * first.size * (k + 1), f"{first.size} outcomes after {k * len(deltas)} atoms")
     grown = np.zeros((first.size, k + 1), dtype=np.int32)
     grown[gid[:size], :k] = counts
     # In slices: ``+=`` on a fancy index gathers its rows into a temporary.
@@ -321,8 +326,7 @@ def _popcounts(rows: np.ndarray, order: np.ndarray, N: int) -> np.ndarray:
     """``counts[k, i]``: the number of masks of popcount k at outcome
     ``order[i]`` of the count table ``rows`` of ``_convolve`` over N atoms.
     Single-atom steps count popcounts already; pair steps expand
-    (``_expansion``).  Refused before it would pass ``LAW_BUILD_BYTES``."""
-    _charge(order.size * (N + 1), f"{order.size} outcomes x {N + 1} popcounts")
+    (``_expansion``)."""
     expand = None if rows.shape[1] == N + 1 else _expansion(N // 2)
     counts = np.empty((N + 1, order.size), dtype=np.int32)
     # A quarter of ``_SLICE_ROWS``: a product slice holds float64 copies.
@@ -372,12 +376,16 @@ def _modulus_keys(coords: np.ndarray, powers: np.ndarray) -> np.ndarray:
     over the coordinates c of z.  Columns of that form that always agree are
     packed once, each over the range it really takes.  Each lag D_t is
     summed in int16 from contiguous coordinate columns, one lag at a time:
-    every partial sum is at most D_0 = sum_j c_j^2 <= 676 at N <= 26.
+    every partial sum is at most D_0 = sum_j c_j^2 <= 1089, and its product
+    with an entry of the form at most 2178, at N <= 33.
     """
     d, phi = powers.shape
     form = powers[:phi] + powers[-np.arange(phi) % d]
     form[0] = powers[0]
-    form = np.unique(form, axis=1)
+    # Distinct columns in lexicographic order, as ``np.unique(form, axis=1)``
+    # lists them, without its ``numpy.ma`` import.
+    form = form[:, np.lexsort(form[::-1])]
+    form = form[:, np.concatenate(([True], (form[:, 1:] != form[:, :-1]).any(axis=0)))]
     square = np.zeros((form.shape[1], len(coords)), dtype=np.int32)
     columns = coords.T
     for t in range(phi):
@@ -436,7 +444,11 @@ def _outcomes(N: int, g: int, part: Part) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_law(N: int, g: int, part: Part) -> _Law:
+    """The law of ``part`` at class (N, g), refused before its sort when its
+    values and popcount table would pass ``LAW_BYTES``, so every law built
+    fits the cache."""
     values, rows = _outcomes(N, g, part)
+    _charge(values.size * (values.itemsize + 4 * (N + 1)), f"{values.size} outcomes x {N + 1} popcounts")
     # Complex values sort by real part, then imaginary part.
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -472,15 +484,18 @@ class _ByteCache:
 
     Least recently used entries are evicted first, their answers with them;
     a value larger than the bound is returned but not kept, and keeps no
-    answers.  Every read, insert, answer and eviction holds one lock, so
-    threads may share the cache; builds run outside it, and when two threads
-    build one key at once the first insert is kept.
+    answers.  A key whose ``build`` raised ``CapabilityError`` is refused
+    with the same message, without a build, for the life of the cache.
+    Every read, insert, answer and eviction holds one lock, so threads may
+    share the cache; builds run outside it, and when two threads build one
+    key at once the first insert is kept.
     """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
         self.nbytes = 0
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._refused: dict[tuple, str] = {}
         self._lock = threading.Lock()
 
     def get(self, key: tuple, build):
@@ -513,7 +528,16 @@ class _ByteCache:
         return result
 
     def _entry(self, key: tuple, build) -> _Entry:
-        return self._lookup([key], lambda missing: [build(*key)])[key]
+        with self._lock:
+            refusal = self._refused.get(key)
+        if refusal is not None:
+            raise CapabilityError(refusal)
+        try:
+            return self._lookup([key], lambda missing: [build(*key)])[key]
+        except CapabilityError as exc:
+            with self._lock:
+                self._refused[key] = str(exc)
+            raise
 
     def _lookup(self, keys: list, build_many) -> dict:
         """The entry at each of ``keys``: look them up, build the missing ones
@@ -546,32 +570,22 @@ class _ByteCache:
             self.nbytes -= old.nbytes
 
 
-_LAWS = _ByteCache(LAW_CACHE_BYTES)
+_LAWS = _ByteCache(LAW_BYTES)
 
 
 def _law(N: int, g: int, part: Part) -> _Law:
     return _LAWS.get((N, g, part), _build_law)
 
 
-def _check_guard(params: ModelParams, max_enum_n: int) -> None:
-    if not isinstance(max_enum_n, int) or max_enum_n < 1:
-        raise ParameterDomainError(f"enumeration guard must be a positive integer, got {max_enum_n!r}")
-    if max_enum_n > HARD_ENUM_CAP:
-        raise ParameterDomainError(
-            f"enumeration guard cannot exceed {HARD_ENUM_CAP} (2^{HARD_ENUM_CAP} masks)"
-        )
-    if params.N > max_enum_n:
-        raise CapabilityError(
-            f"N={params.N} exceeds the 2^N enumeration guard ({max_enum_n}); "
-            "use the Monte Carlo estimators for this size"
-        )
-
-
-def _law_key(params: ModelParams, part: Part, max_enum_n: int) -> tuple:
+def _law_key(params: ModelParams, part: Part) -> tuple:
     """Cache key (N, gcd(l, N) mod N, part) of the law ``part`` reads at
-    ``params``.  The guard and part checks run here, before any lookup, so a
-    cached law or answer never skips a refusal."""
-    _check_guard(params, max_enum_n)
+    ``params``.  The count-type and part checks run here, before any lookup,
+    so a cached law or answer never skips a refusal."""
+    if params.N > _COUNT_N_MAX:
+        raise CapabilityError(
+            f"N={params.N} needs mask counts up to C(N, N/2) >= 2^31, past the int32 count "
+            f"tables (N <= {_COUNT_N_MAX}); use the Monte Carlo estimators"
+        )
     if not isinstance(part, Part):
         raise ParameterDomainError(f"part must be a Part, got {part!r}")
     base = Part.MODULUS if part is Part.MODULUS_CENTERED else part
@@ -584,10 +598,27 @@ def _centered(law: _Law, probs: np.ndarray) -> np.ndarray:
     return law.values - float(np.dot(law.values, probs))
 
 
+#: Columns of the count table per product in ``_probs``.
+_WEIGH_COLUMNS = 256
+
+
+def _probs(law: _Law, N: int, m: int) -> np.ndarray:
+    """Probability of each outcome of ``law`` at (N, m): the popcount weights
+    times its counts, ``_WEIGH_COLUMNS`` columns per product.  A product
+    casts only its own slice of counts to float64, and it is small enough
+    (at most 34 x 256 entries) that BLAS runs it on one thread, so the bits
+    do not depend on the BLAS thread count."""
+    weights = weight_table(N, m)
+    probs = np.empty(law.counts.shape[1])
+    for s in range(0, probs.size, _WEIGH_COLUMNS):
+        np.matmul(weights, law.counts[:, s : s + _WEIGH_COLUMNS], out=probs[s : s + _WEIGH_COLUMNS])
+    return probs
+
+
 def _weigh(law: _Law, params: ModelParams, part: Part) -> tuple[np.ndarray, np.ndarray]:
     """Values and probabilities of ``part`` at ``params`` from its law: the
     popcount weights of m apply here."""
-    probs = weight_table(params.N, params.m) @ law.counts
+    probs = _probs(law, params.N, params.m)
     values = _centered(law, probs) if part is Part.MODULUS_CENTERED else law.values
     keep = probs > 0.0
     if not bool(keep.all()):
@@ -598,35 +629,33 @@ def _weigh(law: _Law, params: ModelParams, part: Part) -> tuple[np.ndarray, np.n
     return values, probs
 
 
-def _dist_arrays(
-    params: ModelParams, part: Part, max_enum_n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _dist_arrays(params: ModelParams, part: Part) -> tuple[np.ndarray, np.ndarray]:
     """Grouped values and probabilities of one part.  The law is shared by
     every l with the same gcd(l, N) (same atom multiset) and every m."""
-    return _weigh(_LAWS.get(_law_key(params, part, max_enum_n), _build_law), params, part)
+    return _weigh(_LAWS.get(_law_key(params, part), _build_law), params, part)
 
 
-def _answer(params: ModelParams, part: Part, max_enum_n: int, compute, name: str, *args):
+def _answer(params: ModelParams, part: Part, compute, name: str, *args):
     """``compute(values, probs)`` for ``part`` at ``params``, kept with the
     law under (name, m, part, *args), so each exact query is computed once
     per frequency class."""
-    key = _law_key(params, part, max_enum_n)
+    key = _law_key(params, part)
     return _LAWS.answer(
         key, _build_law, (name, params.m, part, *args),
         lambda law: compute(*_weigh(law, params, part)),
     )
 
 
-def enumerate_distribution(
-    params: ModelParams, part: Part, *, max_enum_n: int = DEFAULT_ENUM_GUARD
-) -> ExactDistribution:
+def enumerate_distribution(params: ModelParams, part: Part) -> ExactDistribution:
     """Exact law of the selected part over all 2^N masks.
 
     Mask S carries weight (m/N)^|S| (1-m/N)^(N-|S|); masks with equal values
     (equal coordinates in Z[zeta_d]) are merged.  For the centered modulus the
-    exact expected modulus is subtracted in the same pass.
+    exact expected modulus is subtracted in the same pass.  Every exact query
+    raises ``CapabilityError`` where the oracle's count, key or byte limits
+    refuse the law (see the module docstring).
     """
-    values, probs = _dist_arrays(params, part, max_enum_n)
+    values, probs = _dist_arrays(params, part)
     return ExactDistribution(params, part, values, probs)
 
 
@@ -635,50 +664,37 @@ def _require_real_part(part: Part) -> None:
         raise ParameterDomainError(f"operation needs a real-valued part, got {part!r}")
 
 
-def exact_moment(
-    params: ModelParams,
-    part: Part,
-    order: int,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> float:
+def exact_moment(params: ModelParams, part: Part, order: int) -> float:
     """Exact E[X^order] of a real-valued part over the enumerated law."""
     _require_real_part(part)
     if not isinstance(order, int) or order < 1:
         raise ParameterDomainError(f"order must be a positive integer, got {order!r}")
     return _answer(
-        params, part, max_enum_n,
-        lambda values, probs: float(np.dot(probs, values**order)), "moment", order,
+        params, part, lambda values, probs: float(np.dot(probs, values**order)), "moment", order,
     )
 
 
-def exact_tail_curve(
-    params: ModelParams,
-    part: Part,
-    ts: np.ndarray,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> np.ndarray:
+def exact_tail_curve(params: ModelParams, part: Part, ts: np.ndarray) -> np.ndarray:
     """Vector of exact tails P(|X| >= t) for each t in ``ts``, each summed
     over popcounts from exact mask counts (``_tail_counts``)."""
     _require_real_part(part)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and (not np.isfinite(ts).all() or (ts < 0).any()):
         raise ParameterDomainError("all thresholds must be finite and nonnegative")
-    key = _law_key(params, part, max_enum_n)
+    key = _law_key(params, part)
     grid = (ts.shape, ts.tobytes())
 
     def law_counts(law: _Law) -> np.ndarray:
         return _tail_counts(law.values, law.counts, ts.ravel())
 
     def cold(law: _Law) -> np.ndarray:
-        weights = weight_table(params.N, params.m)
         if part is Part.MODULUS_CENTERED:
             # The center, and so the counts, depend on m.
-            counts = _tail_counts(_centered(law, weights @ law.counts), law.counts, ts.ravel())
+            probs = _probs(law, params.N, params.m)
+            counts = _tail_counts(_centered(law, probs), law.counts, ts.ravel())
         else:
             counts = _LAWS.answer(key, _build_law, ("tail_counts", *grid), law_counts)
-        curve = (weights @ counts).reshape(ts.shape)
+        curve = (weight_table(params.N, params.m) @ counts).reshape(ts.shape)
         curve.flags.writeable = False
         return curve
 
@@ -698,7 +714,9 @@ def _tail_counts(values: np.ndarray, counts: np.ndarray, ts: np.ndarray) -> np.n
     s = ts - VALUE_GROUPING_TOL
     high = np.searchsorted(values, s, side="left")
     low = np.minimum(np.searchsorted(values, -s, side="right"), high)
-    cuts = np.unique(np.concatenate(([0, values.size], low, high)))
+    # Distinct cuts, ascending: ``np.unique`` without its ``numpy.ma`` import.
+    cuts = np.sort(np.concatenate(([0, values.size], low, high)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     cum = np.zeros((counts.shape[0], cuts.size), dtype=np.int64)
     segments = np.add.reduceat(counts, cuts[:-1], axis=1, dtype=np.int64)
     np.cumsum(segments, axis=1, out=cum[:, 1:])
@@ -732,13 +750,7 @@ def _exp_moment(squares: np.ndarray, weights: np.ndarray, K: float) -> float:
     return float(np.add.reduce(terms))
 
 
-def exact_exp_moment(
-    params: ModelParams,
-    part: Part,
-    K: float,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> float:
+def exact_exp_moment(params: ModelParams, part: Part, K: float) -> float:
     """Exact E[exp(X^2/K^2)] over the enumerated law.
 
     Switches to log-space once any atom has value^2/K^2 > 700, and returns
@@ -749,8 +761,7 @@ def exact_exp_moment(
         raise ParameterDomainError(f"K must be a positive real, got {K!r}")
     K = float(K)
     return _answer(
-        params, part, max_enum_n,
-        lambda values, probs: _exp_moment(values * values, probs, K), "exp_moment", K,
+        params, part, lambda values, probs: _exp_moment(values * values, probs, K), "exp_moment", K,
     )
 
 
@@ -784,13 +795,7 @@ def _psi2_bisect(
     return lo, hi
 
 
-def exact_psi2_norm(
-    params: ModelParams,
-    part: Part,
-    tol: float = 1e-9,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> Psi2Estimate:
+def exact_psi2_norm(params: ModelParams, part: Part, tol: float = 1e-9) -> Psi2Estimate:
     """Smallest scale K with E[exp(X^2/K^2)] <= 2, located by bisection.
 
     The map K -> E[exp(X^2/K^2)] is continuous and strictly decreasing for a
@@ -802,7 +807,7 @@ def exact_psi2_norm(
         raise ParameterDomainError(f"tol must be a positive real, got {tol!r}")
     tol = float(tol)
     return _answer(
-        params, part, max_enum_n,
+        params, part,
         lambda values, probs: _psi2_norm(values * values, probs, params.N, tol), "psi2_norm", tol,
     )
 
@@ -822,12 +827,7 @@ _MOMENT_P_MAX = 200.0
 _MOMENT_GRID = 64
 
 
-def exact_psi2_moment_norm(
-    params: ModelParams,
-    part: Part,
-    *,
-    max_enum_n: int = DEFAULT_ENUM_GUARD,
-) -> Psi2Estimate:
+def exact_psi2_moment_norm(params: ModelParams, part: Part) -> Psi2Estimate:
     """sup over p >= 1 of p^(-1/2) E[|X|^p]^(1/p).
 
     Scans a log-spaced grid on [1, 200], then refines around the best grid
@@ -838,7 +838,7 @@ def exact_psi2_moment_norm(
     interval.
     """
     _require_real_part(part)
-    return _answer(params, part, max_enum_n, _psi2_moment_norm, "psi2_moment_norm")
+    return _answer(params, part, _psi2_moment_norm, "psi2_moment_norm")
 
 
 def _psi2_moment_norm(values: np.ndarray, probs: np.ndarray) -> Psi2Estimate:

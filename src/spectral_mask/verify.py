@@ -2,9 +2,10 @@
 
 Each suite walks a fixed grid, compares closed forms with the exhaustive
 oracle (or the Monte Carlo engine with itself), and reports pass/fail counts
-plus the worst slack seen.  The CLI ``verify`` command and the acceptance
-test module both run these functions, so the command line and the test suite
-can never drift apart.
+plus the worst slack seen.  The grids stay at N <= 12, where the oracle
+admits every law, so no suite takes a size limit.  The CLI ``verify``
+command and the acceptance test module both run these functions, so the
+command line and the test suite can never drift apart.
 """
 
 from __future__ import annotations
@@ -88,17 +89,17 @@ def t_grid(N: int) -> np.ndarray:
     return (np.arange(50) / 50) * 2.0 * math.sqrt(N)
 
 
-def suite_moments(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_moments() -> SuiteResult:
     """Zero means and the variance identities on the exhaustive grid."""
     res = SuiteResult("moments", slack_kind="max_abs_error")
     worst = 0.0
     for params in criterion_params():
-        mean_u = oracle.exact_moment(params, Part.REAL, 1, max_enum_n=max_enum_n)
-        mean_v = oracle.exact_moment(params, Part.IMAG, 1, max_enum_n=max_enum_n)
+        mean_u = oracle.exact_moment(params, Part.REAL, 1)
+        mean_v = oracle.exact_moment(params, Part.IMAG, 1)
         mean_x = math.hypot(mean_u, mean_v)
-        e_u2 = oracle.exact_moment(params, Part.REAL, 2, max_enum_n=max_enum_n)
-        e_v2 = oracle.exact_moment(params, Part.IMAG, 2, max_enum_n=max_enum_n)
-        e_mod2 = oracle.exact_moment(params, Part.MODULUS, 2, max_enum_n=max_enum_n)
+        e_u2 = oracle.exact_moment(params, Part.REAL, 2)
+        e_v2 = oracle.exact_moment(params, Part.IMAG, 2)
+        e_mod2 = oracle.exact_moment(params, Part.MODULUS, 2)
         var_x, var_u, var_v = bounds.variance_formula(params)
         deviations = {
             "mean_u": abs(mean_u),
@@ -115,14 +116,8 @@ def suite_moments(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     return res
 
 
-def _match_pmf(
-    res: SuiteResult,
-    params: ModelParams,
-    pmf,
-    support: range,
-    max_enum_n: int,
-) -> None:
-    dist = oracle.enumerate_distribution(params, Part.REAL, max_enum_n=max_enum_n)
+def _match_pmf(res: SuiteResult, params: ModelParams, pmf, support: range) -> None:
+    dist = oracle.enumerate_distribution(params, Part.REAL)
     matched_mass = 0.0
     for v, p in zip(dist.values, dist.probs):
         k = round(float(v))
@@ -141,7 +136,7 @@ def _match_pmf(
     )
 
 
-def suite_special_forms(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_special_forms() -> SuiteResult:
     """Zero-frequency law vs binomial; N = 2l real part vs difference law."""
     res = SuiteResult("special_forms", slack_kind="max_abs_error")
     for N in range(1, 13):
@@ -152,7 +147,6 @@ def suite_special_forms(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteRes
                 params,
                 lambda k, N=N, m=m: bounds.binomial_pmf(N, m, N, k),
                 range(0, N + 1),
-                max_enum_n,
             )
     for N in range(2, 13, 2):
         l = N // 2
@@ -163,14 +157,13 @@ def suite_special_forms(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteRes
                 params,
                 lambda k, l=l, m=m, N=N: bounds.diff_binomial_pmf(l, m, N, k),
                 range(-l, l + 1),
-                max_enum_n,
             )
     if res.worst_slack is not None:
         res.worst_slack = -res.worst_slack
     return res
 
 
-def suite_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_tails() -> SuiteResult:
     """Hard domination of exact tails by the three bounded-difference bounds."""
     res = SuiteResult("tails", slack_kind="min_bound_minus_exact")
     cases = (
@@ -183,7 +176,7 @@ def suite_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     for params in criterion_params():
         ts = t_grid(params.N)
         for part, bound_fn in cases:
-            exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
+            exact = oracle.exact_tail_curve(params, part, ts)
             key = (bound_fn, params.N)
             if key not in rows:
                 rows[key] = [bound_fn(params.N, float(t)) for t in ts]
@@ -197,7 +190,7 @@ def suite_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     return res
 
 
-def suite_entropy_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_entropy_tails() -> SuiteResult:
     """Verification of the externally cited entropy bound and its combined form.
 
     These are checked, not trusted: any violation on this grid fails the
@@ -220,7 +213,7 @@ def suite_entropy_tails(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteRes
                 for t in ts
             ]
         for part in (Part.REAL, Part.IMAG):
-            exact = oracle.exact_tail_curve(params, part, ts, max_enum_n=max_enum_n)
+            exact = oracle.exact_tail_curve(params, part, ts)
             for t, ex, row in zip(ts, exact, rows[N, m]):
                 for name, b in row:
                     res.track_slack(b - ex)
@@ -295,13 +288,13 @@ def suite_crossover() -> SuiteResult:
 _K_PROBES = (0.6, 0.75, 1.0, 2.0, 5.0)
 
 
-def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_moment_chain() -> SuiteResult:
     """Even-moment and exponential-moment domination, plus the closed-form
     root identity exp_moment_bound(N, psi2_upper(N)) = 2."""
     res = SuiteResult("moment_chain", slack_kind="min_bound_minus_exact")
     for params in criterion_params():
         for n in range(1, 6):
-            exact = oracle.exact_moment(params, Part.REAL, 2 * n, max_enum_n=max_enum_n)
+            exact = oracle.exact_moment(params, Part.REAL, 2 * n)
             b = bounds.moment_bound(params.N, n)
             res.track_slack(b - exact)
             res.check(
@@ -311,7 +304,7 @@ def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResu
         root_n = math.sqrt(params.N)
         for mult in _K_PROBES:
             K = mult * root_n
-            exact = oracle.exact_exp_moment(params, Part.REAL, K, max_enum_n=max_enum_n)
+            exact = oracle.exact_exp_moment(params, Part.REAL, K)
             b = bounds.exp_moment_bound(params.N, K)
             res.track_slack(b - exact)
             res.check(
@@ -328,21 +321,21 @@ def suite_moment_chain(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResu
     return res
 
 
-def suite_psi2(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
+def suite_psi2() -> SuiteResult:
     """psi2 chain: oracle norms under the closed-form bounds, plus the
     analytic three-point closed case."""
     res = SuiteResult("psi2", slack_kind="min_bound_minus_exact")
     for params in criterion_params():
-        est = oracle.exact_psi2_norm(params, Part.REAL, 1e-10, max_enum_n=max_enum_n)
+        est = oracle.exact_psi2_norm(params, Part.REAL, 1e-10)
         upper = bounds.psi2_upper(params.N)
         res.track_slack(upper - est.norm)
         res.check(
             est.norm <= upper + 1e-9,
             lambda: f"exp-moment psi2 norm {est.norm:.6g} exceeds {upper:.6g} at {params}",
         )
-        values, _ = oracle._dist_arrays(params, Part.REAL, max_enum_n)
+        values, _ = oracle._dist_arrays(params, Part.REAL)
         sup_value = float(np.abs(values).max(initial=0.0))
-        mom = oracle.exact_psi2_moment_norm(params, Part.REAL, max_enum_n=max_enum_n)
+        mom = oracle.exact_psi2_moment_norm(params, Part.REAL)
         res.check(
             mom.norm <= sup_value + 1e-9,
             lambda: f"moment-sup norm {mom.norm:.6g} exceeds sup norm {sup_value:.6g} at {params}",
@@ -356,9 +349,7 @@ def suite_psi2(max_enum_n: int = oracle.DEFAULT_ENUM_GUARD) -> SuiteResult:
     res.details["psi2_upper_coefficient"] = bounds.PSI2_UPPER_COEFFICIENT
     res.details["psi2_sup_upper_unit"] = bounds.psi2_sup_upper(1)
     res.details["psi2_upper_n1"] = bounds.psi2_upper(1)
-    closed = oracle.exact_psi2_norm(
-        ModelParams(2, 1, 1), Part.REAL, 1e-12, max_enum_n=max_enum_n
-    )
+    closed = oracle.exact_psi2_norm(ModelParams(2, 1, 1), Part.REAL, 1e-12)
     target = 1.0 / math.sqrt(math.log(3.0))
     res.details["three_point_norm"] = closed.norm
     res.details["three_point_target"] = target
@@ -430,7 +421,6 @@ def suite_montecarlo(
     samples: int = 1_000_000,
     seed: int = 42,
     workers_many: int = 8,
-    max_enum_n: int = oracle.DEFAULT_ENUM_GUARD,
 ) -> SuiteResult:
     """Monte Carlo consistency on (N=12, l=5, m=4): CI coverage of the exact
     second moment and tail, and bit-identical reproducibility across repeat
@@ -459,9 +449,7 @@ def suite_montecarlo(
         lambda: f"second moment {second.estimate!r} +/- {second.half_width!r} "
         f"misses {exact_second!r}",
     )
-    exact_tail_value = float(
-        oracle.exact_tail_curve(params, Part.REAL, [1.0], max_enum_n=max_enum_n)[0]
-    )
+    exact_tail_value = float(oracle.exact_tail_curve(params, Part.REAL, [1.0])[0])
     tail = mc_tail(acc, Part.REAL, 1.0)
     res.details["tail_at_1"] = {
         "estimate": tail.estimate,

@@ -49,7 +49,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = build_config({})
         assert cfg.n_grid == tuple(range(3, 13))
-        assert cfg.max_enum_n == 24
         assert cfg.t_grid.points == 50
 
     def test_rejects_unknown_keys(self, tmp_path):
@@ -103,15 +102,10 @@ class TestMainEntry:
         [
             ["--samples", "-5"],
             ["--seed", "-1"],
-            ["--max-enum-n", "99"],
-            ["--max-enum-n", "0"],
             ["--suites", "crossover,nope"],
             ["--suites", ","],
         ],
-        ids=[
-            "negative-samples", "negative-seed", "guard-above-cap", "guard-zero",
-            "unknown-suite", "no-suite",
-        ],
+        ids=["negative-samples", "negative-seed", "unknown-suite", "no-suite"],
     )
     def test_bad_flag_rejected(self, tmp_path, capsys, flags):
         # Flags pass the same schema as the config file they override.
@@ -130,20 +124,30 @@ class TestMainEntry:
             {
                 "mc": {"samples": 7, "seed": 1, "confidence": 0.95},
                 "suites": ["moments"],
-                "max_enum_n": 20,
                 "output_dir": str(tmp_path / "elsewhere"),
             },
         )
         argv = [
             "verify", "--config", path, "--out", str(tmp_path), "--samples", "0",
-            "--seed", "9", "--suites", "crossover,qfunction", "--max-enum-n", "6",
+            "--seed", "9", "--suites", "crossover,qfunction",
         ]
         assert cli.main(argv) == 0
         config = json.loads((tmp_path / "summary.json").read_text())["config"]
         assert config["mc"] == {"samples": 0, "seed": 9, "confidence": 0.95}
         assert config["suites"] == ["crossover", "qfunction"]
-        assert config["max_enum_n"] == 6
         assert config["output_dir"] == str(tmp_path)
+        assert "max_enum_n" not in config
+
+    def test_enum_guard_key_rejected(self, tmp_path, capsys):
+        # The oracle's own limits decide what is exact: a config that still
+        # sets the old N guard, at any value, is refused with nothing written.
+        out = tmp_path / "out"
+        for value in (24, 26, 6):
+            path = write_config(tmp_path, {"n_grid": [4], "max_enum_n": value})
+            for command in ("verify", "tails", "psi2"):
+                assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+                assert "max_enum_n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mc_batch_rejected(self, tmp_path, capsys):
         # Every run draws one stream, so the schema has no batch size.
@@ -328,10 +332,11 @@ class TestTailsCommand:
         assert rows[1][7] != ""
 
     def test_over_guard_leaves_exact_empty(self, tmp_path):
+        # Past N = 33 the int32 counts refuse every law at once.
         path = write_config(
             tmp_path,
             {
-                "n_grid": [30],
+                "n_grid": [34],
                 "l_grid": [7],
                 "m_grid": [5],
                 "parts": ["real"],
@@ -339,27 +344,26 @@ class TestTailsCommand:
             },
         )
         assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 0
-        header, rows = read_csv(tmp_path / "tails_N30_l7_m5_real.csv")
+        header, rows = read_csv(tmp_path / "tails_N34_l7_m5_real.csv")
         for r in rows:
             assert r[1] == ""  # exact empty, never approximated
             assert r[2] != ""  # mc filled
 
-    def test_guard_override_flag(self, tmp_path):
+    def test_guard_override_flag(self, tmp_path, capsys):
+        # The N guard and its override flag are gone: the flag, at any
+        # value, is a usage error (exit 2) and nothing is written.
         path = write_config(
             tmp_path,
-            {
-                "n_grid": [8],
-                "l_grid": [1],
-                "m_grid": [3],
-                "parts": ["real"],
-                "mc": {"samples": 0},
-            },
+            {"n_grid": [8], "l_grid": [1], "m_grid": [3], "parts": ["real"], "mc": {"samples": 0}},
         )
-        assert cli.main(
-            ["tails", "--config", path, "--out", str(tmp_path), "--max-enum-n", "6"]
-        ) == 0
-        _, rows = read_csv(tmp_path / "tails_N8_l1_m3_real.csv")
-        assert all(r[1] == "" for r in rows)
+        out = tmp_path / "out"
+        for value in ("6", "24", "99", "0"):
+            for command in ("verify", "tails", "psi2"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, "--config", path, "--out", str(out), "--max-enum-n", value])
+                assert exc.value.code == 2
+                assert "--max-enum-n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exact_column_where_float_grouping_was_refused(self, tmp_path):
         # Distinct real outcomes at N = 23 lie 8.5e-8 apart; exact keys group them.
@@ -373,16 +377,43 @@ class TestTailsCommand:
         # 354,293 outcomes, summed as 24 popcount terms of exact counts.
         assert abs(float(rows[0][1]) - 1.0) <= 4 * 2.0**-52
 
-    def test_law_over_byte_budget_exits_2(self, tmp_path, monkeypatch, capsys):
-        # The complex sum at N = 17 passes 256 KiB of counts after 13 atoms.
-        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", 1 << 18)
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+    def test_law_over_byte_budget_leaves_exact_empty(self, tmp_path, monkeypatch):
+        # The complex sum at N = 17 passes 256 KiB of counts after 13 atoms,
+        # so the modulus law of class (17, 1) is refused: built once for the
+        # whole process, every point of tails and psi2 keeps its exact cells
+        # empty, modulus_centered is centered by Monte Carlo, and both exit 0.
+        builds = []
+        real_build = oracle._build_law
+
+        def counted(*key):
+            builds.append(key)
+            return real_build(*key)
+
+        monkeypatch.setattr(oracle, "LAW_BYTES", 1 << 18)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(1 << 18))
+        monkeypatch.setattr(oracle, "_build_law", counted)
+        fresh_mc_results(monkeypatch)
         path = write_config(
             tmp_path,
-            {"n_grid": [17], "l_grid": [1], "m_grid": [3], "parts": ["modulus"], "mc": {"samples": 0}},
+            {
+                "n_grid": [17],
+                "l_grid": [1, 2],
+                "m_grid": [3, 4],
+                "parts": ["modulus", "modulus_centered"],
+                "mc": {"samples": 2_000, "seed": 5},
+            },
         )
-        assert cli.main(["tails", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "count budget" in capsys.readouterr().err
+        for command in ("tails", "psi2"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert builds == [(17, 1, Part.MODULUS)]
+        files = sorted(tmp_path.glob("tails_*.csv"))
+        assert len(files) == 2 * 2 * 2
+        for f in files:
+            _, rows = read_csv(f)
+            assert all(r[1] == "" and r[2] != "" for r in rows), f.name
+        _, rows = read_csv(tmp_path / "psi2.csv")
+        assert len(rows) == 8
+        assert all(r[4] == "" and r[6] == "" and r[5] != "" for r in rows)
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         path = write_config(
@@ -423,16 +454,16 @@ class TestTailsCommand:
 
 class TestWorkerInvariance:
     def test_tails_and_psi2_bytes_independent_of_workers(self, tmp_path, monkeypatch):
-        # N above the guard: the centering pass and mc_psi2 both run, over
-        # six 1000-row chunks, for two points at once.
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 6 * 1_000)
+        # N past the int32 counts: the centering pass and mc_psi2 both run,
+        # over six 1000-row chunks, for two points at once.
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 34 * 1_000)
         outputs = {}
         for workers in (1, 3):
             fresh_mc_results(monkeypatch)
             path = write_config(
                 tmp_path,
                 {
-                    "n_grid": [6],
+                    "n_grid": [34],
                     "l_grid": [1],
                     "m_grid": [2, 3],
                     "parts": ["real", "modulus_centered"],
@@ -442,18 +473,18 @@ class TestWorkerInvariance:
             )
             out = tmp_path / f"workers{workers}"
             for command in ("tails", "psi2"):
-                argv = [command, "--config", path, "--out", str(out), "--max-enum-n", "5"]
+                argv = [command, "--config", path, "--out", str(out)]
                 assert cli.main(argv) == 0
             outputs[workers] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
         assert len(outputs[1]) == 5  # four tails files and psi2.csv
         assert outputs[1] == outputs[3]
-        _, rows = read_csv(tmp_path / "workers1" / "tails_N6_l1_m2_modulus_centered.csv")
+        _, rows = read_csv(tmp_path / "workers1" / "tails_N34_l1_m2_modulus_centered.csv")
         assert all(r[1] == "" and r[2] != "" for r in rows)
 
 
     def test_shared_draws_bytes_independent_of_workers(self, tmp_path, monkeypatch):
-        # Above the guard at N = 256: three chunks, shared by six points in
-        # the centering, tails and psi2 passes.
+        # Past the int32 counts at N = 256: three chunks, shared by six
+        # points in the centering, tails and psi2 passes.
         outputs = {}
         for workers in (1, 3):
             fresh_mc_results(monkeypatch)
@@ -486,7 +517,7 @@ class TestClassCaches:
         ls = [1, 5, 7, 11, 2, 10, 3, 9, 4, 8, 6, 0]
 
         def fresh():
-            monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+            monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_BYTES))
             monkeypatch.setattr(cli, "_TAIL_COLUMNS", oracle._ByteCache(cli.TAIL_COLUMNS_BYTES))
 
         def run(out, l_grid, psi2_rows):
@@ -551,7 +582,7 @@ class TestClassCaches:
             threads.add(threading.get_ident())
             return real_build(*key)
 
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_BYTES))
         monkeypatch.setattr(oracle, "_build_law", spy)
         fresh_mc_results(monkeypatch)
         path = write_config(
@@ -576,11 +607,11 @@ class TestMcResults:
     """Monte Carlo results kept across commands, one per class point, write
     the bytes that cold runs write."""
 
-    # N = 8 below the guard of 8 and N = 30 above it, where modulus_centered
+    # N = 8, exact, and N = 36, past the int32 counts, where modulus_centered
     # adds the centering pass; l = 1, 3, 5, 7 share a class at N = 8, and
-    # l = 1, 7 / 2, 4 / 3, 6 at N = 30; l = 0 and N = 2l among them.
+    # l = 1, 5, 7 at N = 36; l = 0 and N = 2l among them.
     CONFIG = {
-        "n_grid": [8, 30],
+        "n_grid": [8, 36],
         "l_grid": [0, 1, 2, 3, 4, 5, 6, 7],
         "m_grid": [2, 5],
         "parts": ["real", "imag", "modulus_centered"],
@@ -590,7 +621,7 @@ class TestMcResults:
     def run(self, tmp_path, command, out, l_grid=None):
         data = dict(self.CONFIG, l_grid=l_grid or self.CONFIG["l_grid"])
         path = write_config(tmp_path, data)
-        argv = [command, "--config", path, "--out", str(out), "--max-enum-n", "8"]
+        argv = [command, "--config", path, "--out", str(out)]
         assert cli.main(argv) == 0
 
     def test_warm_runs_write_cold_bytes(self, tmp_path, monkeypatch):
@@ -633,8 +664,8 @@ class TestMcResults:
         self.run(tmp_path, "psi2", tmp_path / "kept")
         cache = cli._MC_RESULTS
         entries = list(cache._entries.items())
-        # Per m: centering at N = 30, tails, and psi2 for three parts, one
-        # entry per class point (four at N = 8, six at N = 30).
+        # Per m: centering at N = 36, tails, and psi2 for three parts, one
+        # entry per class point (four at N = 8, six at N = 36).
         assert len(entries) == 2 * (6 + (4 + 6) + (4 + 6) * 3)
         assert cache.nbytes == sum(entry.nbytes for _, entry in entries) <= cli.MC_RESULTS_BYTES
         for key, entry in entries:
@@ -650,15 +681,15 @@ class TestMcResults:
         self.run(tmp_path, "tails", tmp_path / "unkept")
         self.run(tmp_path, "psi2", tmp_path / "unkept")
         assert cli._MC_RESULTS.nbytes == 0 and not cli._MC_RESULTS._entries
-        for name in ("tails_N30_l7_m5_modulus_centered.csv", "psi2.csv"):
+        for name in ("tails_N36_l7_m5_modulus_centered.csv", "psi2.csv"):
             unkept, kept = (tmp_path / out / name for out in ("unkept", "kept"))
             assert unkept.read_bytes() == kept.read_bytes()
 
 
 class TestRegistration:
     def test_tails_passes_register_only_what_they_read(self, tmp_path, monkeypatch):
-        # N above the guard: the centering pass reads the mean modulus, the
-        # main pass reads tail hits only.
+        # N past the int32 counts: the centering pass reads the mean modulus,
+        # the main pass reads tail hits only.
         runs = []
         real_mc_run_many = cli.mc_run_many
 
@@ -673,14 +704,14 @@ class TestRegistration:
         path = write_config(
             tmp_path,
             {
-                "n_grid": [6],
+                "n_grid": [34],
                 "l_grid": [1],
                 "m_grid": [2],
                 "parts": ["real", "modulus_centered"],
                 "mc": {"samples": 2_000, "seed": 3},
             },
         )
-        argv = ["tails", "--config", path, "--out", str(tmp_path), "--max-enum-n", "5"]
+        argv = ["tails", "--config", path, "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert runs == [
             ((Part.MODULUS,), {(Part.MODULUS, 1), (Part.MODULUS, 2)}),
@@ -734,10 +765,11 @@ class TestPsi2Command:
         assert float(row[6]) <= 1.0  # moment-sup norm under the sup norm
 
     def test_over_guard_exact_empty(self, tmp_path):
+        # Past N = 33 the int32 counts refuse every law at once.
         path = write_config(
             tmp_path,
             {
-                "n_grid": [30],
+                "n_grid": [34],
                 "l_grid": [7],
                 "m_grid": [5],
                 "parts": ["real"],

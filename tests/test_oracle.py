@@ -2,10 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,10 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectral_mask
 from spectral_mask import oracle
 from spectral_mask import (
-    DEFAULT_ENUM_GUARD,
-    HARD_ENUM_CAP,
     CapabilityError,
     ModelParams,
     ParameterDomainError,
@@ -203,15 +205,27 @@ class TestEnumerateDistribution:
         assert exact_moment(params, Part.MODULUS_CENTERED, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_guard(self):
-        with pytest.raises(CapabilityError):
-            enumerate_distribution(ModelParams(25, 1, 1), Part.REAL)
-        with pytest.raises(CapabilityError):
-            enumerate_distribution(ModelParams(20, 1, 1), Part.REAL, max_enum_n=16)
-        with pytest.raises(ParameterDomainError):
-            enumerate_distribution(ModelParams(4, 1, 1), Part.REAL, max_enum_n=27)
+        # Counts are int32: C(33, 16) < 2^31 <= C(34, 17).  Past N = 33 every
+        # law is refused, however small: (34, 17) has 35 real outcomes.
+        for params, part in [
+            (ModelParams(34, 17, 1), Part.REAL),
+            (ModelParams(34, 1, 1), Part.MODULUS),
+            (ModelParams(1024, 0, 3), Part.COMPLEX),
+        ]:
+            with pytest.raises(CapabilityError, match="int32"):
+                enumerate_distribution(params, part)
+        assert enumerate_distribution(ModelParams(33, 11, 5), Part.REAL).values.size > 0
+
+    def test_count_overflow_is_refused(self):
+        # The (40, 20) real law counts C(40, 20) > 2^31 masks at outcome 0;
+        # an int32 table would store it negative.  Refused, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="int32"):
+                enumerate_distribution(ModelParams(40, 20, 20), Part.REAL)
 
     def test_weight_table_matches_fractions(self):
-        for N in range(1, HARD_ENUM_CAP + 1):
+        for N in range(1, oracle._COUNT_N_MAX + 1):
             for m in range(1, N + 1):
                 w = weight_table(N, m)
                 p = Fraction(m, N)
@@ -415,7 +429,7 @@ class TestConvolutionLaw:
                 for m in sorted({1, (N + 1) // 2, N}):
                     params = ModelParams(N, l, m)
                     assert_same_law(
-                        oracle._dist_arrays(params, part, DEFAULT_ENUM_GUARD),
+                        oracle._dist_arrays(params, part),
                         doubling_law(N, l, m, part),
                     )
 
@@ -445,7 +459,7 @@ class TestConvolutionLaw:
     def test_exact_where_float_grouping_was_refused(self, N, l, m, part):
         # Distinct outcomes here lie 3.0e-7 (modulus) and 8.5e-8, 7.4e-7 apart:
         # within the old 1e3 x 1e-9 margin, far outside the reference's 1e-9.
-        assert_same_law(oracle._dist_arrays(ModelParams(N, l, m), part, N), doubling_law(N, l, m, part))
+        assert_same_law(oracle._dist_arrays(ModelParams(N, l, m), part), doubling_law(N, l, m, part))
 
     @pytest.mark.parametrize("N", [3, 5, 7, 11, 13, 17, 19, 23])
     def test_outcome_counts_at_prime_n(self, N):
@@ -461,7 +475,7 @@ class TestConvolutionLaw:
     def test_cyclotomic_coordinates(self):
         assert oracle._cyclotomic(12).tolist() == [1, 0, -1, 0, 1]
         assert oracle._cyclotomic(15).tolist() == [1, -1, 0, 1, -1, 1, 0, -1, 1]
-        for d in range(1, 2 * HARD_ENUM_CAP):
+        for d in range(1, 2 * oracle._COUNT_N_MAX):
             powers = oracle._powers(d, d + 1)
             assert powers.shape[1] == sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
             assert powers[d].tolist() == powers[0].tolist()  # zeta^d = 1
@@ -469,37 +483,51 @@ class TestConvolutionLaw:
             assert np.allclose(powers @ zeta, np.exp(-2j * np.pi * np.arange(d + 1) / d))
 
     def test_key_widths_fit(self):
-        # Every convolution key at N <= 26 fits in int64 and every coordinate
-        # in int8; the widest is the imaginary part at N = 23 (50.3 bits).
-        # The |z|^2 lags of a complex outcome and their products with the
-        # form's entries fit in int16 (``_modulus_keys``).
-        widest = 0.0
-        for N in range(1, HARD_ENUM_CAP + 1):
+        # At N <= 33 every coordinate fits in int8 (at most 66), and every
+        # convolution key fits in int64 but those of the real and imaginary
+        # parts of five classes, which ``_strides`` refuses; the widest key
+        # admitted takes 62.7 bits.  The |z|^2 lags of a complex outcome (at
+        # most 1089) and their products with the form's entries (at most
+        # 2178) fit in int16 (``_modulus_keys``).
+        widest, refused, coord, lag, product = 0.0, [], 0, 0, 0
+        for N in range(1, oracle._COUNT_N_MAX + 1):
             for d in (d for d in range(1, N + 1) if N % d == 0):
                 powers = oracle._powers(d, d)
                 n = np.arange(1, N + 1)
                 atoms, conj = powers[n % d], powers[-n % d]
-                for vectors in (atoms, atoms + conj, atoms - conj):
+                for part, vectors in [
+                    (Part.COMPLEX, atoms), (Part.REAL, atoms + conj), (Part.IMAG, atoms - conj)
+                ]:
                     lo = np.minimum(vectors, 0).sum(axis=0)
                     hi = np.maximum(vectors, 0).sum(axis=0)
-                    assert -128 <= lo.min() and hi.max() <= 127
-                    oracle._strides(lo, hi)
-                    widest = max(widest, float(np.log2(hi - lo + 1).sum()))
+                    coord = max(coord, -lo.min(), hi.max())
+                    try:
+                        oracle._strides(lo, hi)
+                    except CapabilityError:
+                        refused.append((N, d, part))
+                    else:
+                        widest = max(widest, float(np.log2(hi - lo + 1).sum()))
                 lo, hi = np.minimum(atoms, 0).sum(axis=0), np.maximum(atoms, 0).sum(axis=0)
-                assert np.maximum(lo**2, hi**2).sum() <= 676
+                square = np.maximum(lo**2, hi**2).sum()
                 phi = powers.shape[1]
-                assert np.abs(powers[:phi] + powers[-np.arange(phi) % d]).max() * 676 < 2**15
-        assert 50.0 < widest < 51.0
+                form = np.abs(powers[:phi] + powers[-np.arange(phi) % d]).max()
+                lag, product = max(lag, square), max(product, form * square)
+        assert coord == 66 and lag == 1089 and product == 2178 < 2**15
+        assert refused == [
+            (29, 29, Part.IMAG), (31, 31, Part.REAL), (31, 31, Part.IMAG),
+            (33, 33, Part.REAL), (33, 33, Part.IMAG),
+        ]
+        assert 62.6 < widest < 62.7
 
     def test_byte_guard(self, monkeypatch):
         # The complex sum at N = 17 (odd d, one atom per step) passes 256 KiB
         # of counts after 13 atoms: 8192 outcomes x 14 columns.
         budget = 1 << 18
-        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "LAW_BYTES", budget)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(budget))
         tracemalloc.start()
         try:
-            with pytest.raises(CapabilityError, match="count budget .8192 outcomes after 13 atoms"):
+            with pytest.raises(CapabilityError, match="byte budget .8192 outcomes after 13 atoms"):
                 enumerate_distribution(ModelParams(17, 1, 3), Part.MODULUS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -509,14 +537,15 @@ class TestConvolutionLaw:
 
     def test_byte_guard_charges_the_expansion(self, monkeypatch):
         # At N = 16 the pair table of the complex sum is 6561 x 9 int32 counts
-        # (231 KiB), but its law expands them to 6561 x 17 (436 KiB).  The
-        # modulus groups before it expands and stays under the budget.
+        # (231 KiB), but its law expands them to 6561 x 17 (436 KiB, with its
+        # values 538 KiB).  The modulus groups before it expands and stays
+        # under the budget.
         budget = 1 << 18
-        monkeypatch.setattr(oracle, "LAW_BUILD_BYTES", budget)
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "LAW_BYTES", budget)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(budget))
         tracemalloc.start()
         try:
-            with pytest.raises(CapabilityError, match="count budget .6561 outcomes x 17 popcounts"):
+            with pytest.raises(CapabilityError, match="byte budget .6561 outcomes x 17 popcounts"):
                 enumerate_distribution(ModelParams(16, 1, 3), Part.COMPLEX)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -535,7 +564,7 @@ class TestConvolutionLaw:
     def test_steps_pair_opposite_atoms(self):
         assert oracle._steps(8, 4).tolist() == [[0, 2], [0, 2], [1, 3], [1, 3]]
         assert oracle._steps(6, 3).tolist() == [[0], [0], [1], [1], [2], [2]]
-        for N in range(1, HARD_ENUM_CAP + 1):
+        for N in range(1, oracle._COUNT_N_MAX + 1):
             for d in (d for d in range(1, N + 1) if N % d == 0):
                 r = oracle._steps(N, d)
                 assert sorted(r.ravel().tolist()) == sorted((np.arange(1, N + 1) % d).tolist())
@@ -588,26 +617,78 @@ class TestConvolutionLaw:
     def test_expansion_counts_every_mask_once(self):
         # Column j of P = N/2 pairs holds C(P, j) 2^j pair states; each
         # expands to the C(N, k) masks of popcount k.
-        for N in range(2, HARD_ENUM_CAP + 1, 2):
+        for N in range(2, oracle._COUNT_N_MAX + 1, 2):
             P = N // 2
             states = np.array([math.comb(P, j) * 2**j for j in range(P + 1)], dtype=np.float64)
             assert (oracle._expansion(P) @ states).tolist() == [math.comb(N, k) for k in range(N + 1)]
 
     def test_guard_refuses_before_building(self, monkeypatch):
+        # N >= 34 is refused on the count type before any lookup or build.
         def no_build(*key):
-            raise AssertionError(f"law {key} built past the guard")
+            raise AssertionError(f"law {key} built past the int32 counts")
 
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_BYTES))
         monkeypatch.setattr(oracle, "_build_law", no_build)
         tracemalloc.start()
         try:
-            with pytest.raises(CapabilityError):
-                enumerate_distribution(ModelParams(25, 1, 3), Part.MODULUS)
-            with pytest.raises(CapabilityError):
-                exact_tail_curve(ModelParams(20, 1, 3), Part.REAL, [1.0], max_enum_n=16)
+            for N in (34, 35, 256, 1024):
+                params = ModelParams(N, 1, 3)
+                for query in class_queries(params, Part.MODULUS_CENTERED):
+                    with pytest.raises(CapabilityError, match="int32"):
+                        query()
+                with pytest.raises(CapabilityError, match="int32"):
+                    enumerate_distribution(params, Part.COMPLEX)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+        assert not oracle._LAWS._entries and not oracle._LAWS._refused
+
+    def test_refused_build_is_not_retried(self, monkeypatch):
+        # A law the byte budget refuses is built once per cache: every later
+        # query of its key, at any l of the class, any m or any part that
+        # reads it, is refused at once.  A fresh cache forgets the refusal.
+        builds = []
+        real_build = oracle._build_law
+
+        def counted(*key):
+            builds.append(key)
+            return real_build(*key)
+
+        monkeypatch.setattr(oracle, "LAW_BYTES", 1 << 18)
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(1 << 18))
+        monkeypatch.setattr(oracle, "_build_law", counted)
+        for l, m, part in [(1, 3, Part.MODULUS), (2, 5, Part.MODULUS_CENTERED), (1, 9, Part.MODULUS)]:
+            for query in class_queries(ModelParams(17, l, m), part):
+                with pytest.raises(CapabilityError, match="byte budget"):
+                    query()
+        assert builds == [(17, 1, Part.MODULUS)]
+        assert exact_moment(ModelParams(12, 1, 3), Part.MODULUS, 2) > 0
+        assert builds[1:] == [(12, 1, Part.MODULUS)]
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(1 << 18))
+        with pytest.raises(CapabilityError, match="byte budget"):
+            exact_moment(ModelParams(17, 1, 3), Part.MODULUS, 1)
+        assert builds[2:] == [(17, 1, Part.MODULUS)]
+
+    def test_admitted_law_is_built_once(self, monkeypatch):
+        # The real law at (25, 1) holds 756,857 outcomes (81 MiB): admitted
+        # by the byte budget, so a cache of the module's bound keeps it for
+        # every m.
+        builds = []
+        real_build = oracle._build_law
+
+        def counted(*key):
+            builds.append(key)
+            return real_build(*key)
+
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle._LAWS.max_bytes))
+        monkeypatch.setattr(oracle, "_build_law", counted)
+        ts = np.arange(4) * 2.5
+        for m in range(1, 26):
+            curve = exact_tail_curve(ModelParams(25, 1, m), Part.REAL, ts)
+            assert abs(curve[0] - 1.0) <= 4 * 2.0**-52
+        assert builds == [(25, 1, Part.REAL)]
+        assert oracle._LAWS.nbytes > 80 << 20
 
 
 class TestLawDigests:
@@ -626,6 +707,74 @@ class TestLawDigests:
                 got = [a.dtype.str, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
                 assert got == want[name], (key, name)
         assert oracle.LAW_ALGORITHM == "cyclotomic-keys-count-tails-v1"
+
+
+_PROBS_SCRIPT = """
+import hashlib, json, sys
+from spectral_mask import oracle, weight_table
+from spectral_mask.model import Part
+
+# The laws of the recorded digests, every m: the sliced product, and on one
+# BLAS thread whether it equals one product over the whole count table.
+for key in json.loads(sys.argv[1]):
+    N, g, part = key.split(",")
+    law = oracle._build_law(int(N), int(g), Part(part))
+    h, whole = hashlib.sha256(), True
+    for m in range(1, int(N) + 1):
+        probs = oracle._probs(law, int(N), m)
+        h.update(probs.tobytes())
+        if sys.argv[2] == "1":
+            whole &= probs.tobytes() == (weight_table(int(N), m) @ law.counts).tobytes()
+    print(key, h.hexdigest(), whole)
+"""
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _run_script(script, *args, threads="1"):
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(spectral_mask.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": threads,
+        },
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+
+
+class TestWeights:
+    @pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for two BLAS threads")
+    def test_probabilities_independent_of_blas_threads(self):
+        # Column slices bound the float64 copy of the count table.  Their
+        # probabilities equal one product over the whole table on one BLAS
+        # thread, bit for bit, and do not change at two threads (where that
+        # one product differs for the complex sum at (20, 1) and (22, 1)).
+        keys = list(json.loads((Path(__file__).parent / "law_digests.json").read_text()))
+        procs = {t: _run_script(_PROBS_SCRIPT, json.dumps(keys), t, threads=t) for t in ("1", "2")}
+        out = {t: proc.communicate()[0].splitlines() for t, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values())
+        assert len(out["1"]) == len(out["2"]) == len(keys)
+        for one, two in zip(out["1"], out["2"]):
+            key, digest, whole = one.split(" ")
+            assert whole == "True", key
+            assert two.split(" ")[:2] == [key, digest]
+
+    def test_exact_queries_skip_the_masked_array_import(self):
+        # ``np.unique`` without optional outputs imports ``numpy.ma``; the
+        # oracle dedupes by sort and compare instead.
+        script = (
+            "import sys\n"
+            "from spectral_mask import ModelParams, Part, exact_tail_curve\n"
+            "exact_tail_curve(ModelParams(12, 1, 3), Part.MODULUS_CENTERED, [0.0, 1.0, 2.5])\n"
+            "exact_tail_curve(ModelParams(14, 1, 3), Part.REAL, [0.0, 1.0, 2.5])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = _run_script(script)
+        assert proc.communicate()[0] == "False\n" and proc.returncode == 0
 
 
 class TestLawCache:
@@ -744,9 +893,9 @@ class TestLawCache:
         for N in range(1, 17):
             for l in range(N):
                 for part in ALL_PARTS:
-                    oracle._dist_arrays(ModelParams(N, l, 1), part, DEFAULT_ENUM_GUARD)
+                    oracle._dist_arrays(ModelParams(N, l, 1), part)
         cache = oracle._LAWS
-        assert 0 < cache.nbytes <= oracle.LAW_CACHE_BYTES
+        assert 0 < cache.nbytes <= oracle.LAW_BYTES
         assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
 
 
@@ -754,16 +903,16 @@ REAL_PARTS = [Part.REAL, Part.IMAG, Part.MODULUS, Part.MODULUS_CENTERED]
 
 
 def class_queries(params, part):
-    """Every cached exact query at (params, part), each taking the guard."""
+    """Every cached exact query at (params, part)."""
     N = params.N
     ts = np.arange(9) / 4 * math.sqrt(N)
     return [
-        lambda **guard: exact_tail_curve(params, part, ts, **guard),
-        lambda **guard: exact_moment(params, part, 2, **guard),
-        lambda **guard: exact_moment(params, part, 3, **guard),
-        lambda **guard: exact_exp_moment(params, part, 0.8 * math.sqrt(N), **guard),
-        lambda **guard: exact_psi2_norm(params, part, 1e-6, **guard),
-        lambda **guard: exact_psi2_moment_norm(params, part, **guard),
+        lambda: exact_tail_curve(params, part, ts),
+        lambda: exact_moment(params, part, 2),
+        lambda: exact_moment(params, part, 3),
+        lambda: exact_exp_moment(params, part, 0.8 * math.sqrt(N)),
+        lambda: exact_psi2_norm(params, part, 1e-6),
+        lambda: exact_psi2_moment_norm(params, part),
     ]
 
 
@@ -779,19 +928,19 @@ class TestClassAnswers:
         # l runs downward, so most warm answers were computed at another l
         # of the same class.  Each (point, part) gets a fresh cold cache; it
         # starts from the laws built at that l alone, to save rebuilding them.
-        warm = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+        warm = oracle._ByteCache(oracle.LAW_BYTES)
         for N in range(1, 13):
             for l in reversed(range(N)):
-                laws = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                laws = oracle._ByteCache(oracle.LAW_BYTES)
                 monkeypatch.setattr(oracle, "_LAWS", laws)
                 for part in REAL_PARTS:
-                    oracle._dist_arrays(ModelParams(N, l, 1), part, DEFAULT_ENUM_GUARD)
+                    oracle._dist_arrays(ModelParams(N, l, 1), part)
                 for m in range(1, N + 1):
                     params = ModelParams(N, l, m)
                     for part in REAL_PARTS:
                         monkeypatch.setattr(oracle, "_LAWS", warm)
                         got = class_answers(params, part)
-                        cold = oracle._ByteCache(oracle.LAW_CACHE_BYTES)
+                        cold = oracle._ByteCache(oracle.LAW_BYTES)
                         for key, entry in laws._entries.items():
                             cold.get(key, lambda *key, law=entry.value: law)
                         monkeypatch.setattr(oracle, "_LAWS", cold)
@@ -803,7 +952,7 @@ class TestClassAnswers:
         assert len(warm._entries) == len(classes) * 3
 
     def test_cached_arrays_read_only(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_BYTES))
         ts = np.array([0.0, 1.0, 2.0])
         curves = []
         for params in (ModelParams(9, 2, 4), ModelParams(9, 4, 4)):  # a miss, then a hit
@@ -848,15 +997,19 @@ class TestClassAnswers:
         assert cache.nbytes == 0 and not cache._entries
 
     def test_cached_answer_keeps_the_guard(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_CACHE_BYTES))
+        # Answers are cached per class; the count-type and argument checks
+        # still run on every call.
+        monkeypatch.setattr(oracle, "_LAWS", oracle._ByteCache(oracle.LAW_BYTES))
         params = ModelParams(20, 1, 3)
-        for query in class_queries(params, Part.REAL):
-            query()
-            query()  # now an answer of the cache
+        for query, refused in zip(
+            class_queries(params, Part.REAL), class_queries(ModelParams(40, 2, 3), Part.REAL)
+        ):
+            assert repr(query()) == repr(query())  # now an answer of the cache
             with pytest.raises(CapabilityError):
-                query(max_enum_n=16)
-            with pytest.raises(ParameterDomainError):
-                query(max_enum_n=HARD_ENUM_CAP + 1)
+                refused()
+        assert list(oracle._LAWS._entries) == [(20, 1, Part.REAL)]
+        with pytest.raises(ParameterDomainError):
+            exact_tail_curve(params, Part.REAL, [-1.0])
         with pytest.raises(ParameterDomainError):
             exact_moment(params, Part.COMPLEX, 2)
         with pytest.raises(ParameterDomainError):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spectral_mask
-from spectral_mask import bounds, cli, model, montecarlo, oracle
+from spectral_mask import bounds, cli, model, montecarlo, oracle, verify
 
 # Names that left the package because no command used them; the scalar
 # evaluator and the trigonometric sums live on in tests/scalar_reference.py,
@@ -21,7 +21,9 @@ from spectral_mask import bounds, cli, model, montecarlo, oracle
 # kept a second tail sum for one caller; every exact tail is now read from
 # ``exact_tail_curve``, and the CLI's modulus centers are the oracle's cached
 # first moment.  The CLI runs its per-point work on the calling thread, so
-# it no longer imports the worker map; only Monte Carlo uses it.
+# it no longer imports the worker map; only Monte Carlo uses it.  The
+# oracle's count, key and byte limits decide which laws are exact, so the N
+# guard, its cap and every ``max_enum_n`` parameter are gone.
 REMOVED = {
     bounds: ("BoundQuery", "effective_tail_bound", "mcdiarmid_bound", "McDiarmidCoefficients"),
     model: (
@@ -38,14 +40,18 @@ REMOVED = {
         "BoundReport", "tail_bound_report", "_map_points", "_package_version",
         "_exact_mean_modulus", "_map_ordered",
     ),
-    oracle: ("_group_real", "_group_complex", "_group_ids", "GROUPING_MARGIN", "exact_tail"),
+    oracle: (
+        "_group_real", "_group_complex", "_group_ids", "GROUPING_MARGIN", "exact_tail",
+        "DEFAULT_ENUM_GUARD", "HARD_ENUM_CAP", "_check_guard", "LAW_CACHE_BYTES",
+        "LAW_BUILD_BYTES",
+    ),
 }
 REMOVED_ATTRIBUTES = {
     model.ModelParams: ("p", "is_dc"),
     oracle.ExactDistribution: ("atoms", "to_json", "to_json_dict"),
 }
 REMOVED_FIELDS = {
-    cli.RunConfig: ("mc_batch",),
+    cli.RunConfig: ("mc_batch", "max_enum_n"),
     montecarlo.McConfig: ("batch",),
     montecarlo.McQueries: ("exp_scales",),
     oracle._Law: ("spread", "gap"),
@@ -91,6 +97,20 @@ def test_removed_attributes_are_gone():
 @pytest.mark.parametrize("fn", [montecarlo.mc_run, montecarlo.mc_psi2], ids=lambda f: f.__name__)
 def test_no_work_ceiling(fn):
     assert "work_ceiling" not in inspect.signature(fn).parameters
+
+
+EXACT_FUNCTIONS = [
+    oracle.enumerate_distribution, oracle.exact_moment, oracle.exact_tail_curve,
+    oracle.exact_exp_moment, oracle.exact_psi2_norm, oracle.exact_psi2_moment_norm,
+    oracle._dist_arrays, oracle._answer, oracle._law_key,
+]
+
+
+@pytest.mark.parametrize(
+    "fn", EXACT_FUNCTIONS + list(verify.SUITES.values()), ids=lambda f: f.__name__
+)
+def test_no_enumeration_guard(fn):
+    assert "max_enum_n" not in inspect.signature(fn).parameters
 
 
 def test_readme_names_the_algorithm_tags():
