@@ -34,6 +34,15 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def exit_code(argv):
+    """The exit status of the CLI on argv: what main returns, or the code
+    of the SystemExit the argument parser raises on a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def fresh_mc_results(monkeypatch):
     """Empty the CLI's Monte Carlo results cache, so the next command
     computes every Monte Carlo result instead of reading a kept one."""
@@ -102,19 +111,25 @@ class TestMainEntry:
         [
             ["--samples", "-5"],
             ["--seed", "-1"],
+            ["--max-enum-n", "99"],
+            ["--max-enum-n", "0"],
             ["--suites", "crossover,nope"],
             ["--suites", ","],
         ],
-        ids=["negative-samples", "negative-seed", "unknown-suite", "no-suite"],
+        ids=[
+            "negative-samples", "negative-seed", "guard-above-cap", "guard-zero",
+            "unknown-suite", "no-suite",
+        ],
     )
     def test_bad_flag_rejected(self, tmp_path, capsys, flags):
-        # Flags pass the same schema as the config file they override.
+        # Flags pass the same schema as the config file they override; the
+        # deleted guard flag is refused by the parser before it.
         path = write_config(
             tmp_path, {"n_grid": [4], "l_grid": [1], "m_grid": [1], "suites": ["crossover"]}
         )
         out = tmp_path / "out"
         for command in ("verify", "tails", "psi2"):
-            assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 2
+            assert exit_code([command, "--config", path, "--out", str(out), *flags]) == 2
             assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
